@@ -522,9 +522,14 @@ def _run_datacenter(args, name) -> int:
         f"kernel: {run.event_count} events across {shards} shard(s)"
     )
     if shards > 1:
+        groups = " ".join(
+            "[" + ",".join(scenario.shards[i].host for i in members) + "]"
+            for members in run.groups
+        )
         print(
             f"transport: {run.frames_exchanged} frames, "
-            f"{run.wire_bytes} wire bytes"
+            f"{run.wire_bytes} wire bytes, "
+            f"window={run.window * 1e3:.2f}ms, groups {groups}"
         )
     fluid = run.fluid_totals
     if fluid is not None:
@@ -558,7 +563,7 @@ def _monitor_datacenter(args, name) -> int:
     completed lock-step stride with a column per shard — the live view
     of the conservative-window protocol advancing.
     """
-    from .experiments.datacenter import run_datacenter
+    from .experiments.datacenter import _partition, run_datacenter
     from .obs.bus import EventBus
 
     scenario = _datacenter_scenario(args, name)
@@ -577,9 +582,17 @@ def _monitor_datacenter(args, name) -> int:
             "boundaries; per-shard progress rows only appear for "
             "shards > 1"
         )
-    columns = [
-        f"{spec.host}:{','.join(spec.tiers)}" for spec in scenario.shards
-    ]
+    # One column per worker, headed by its group's hosts; each group
+    # reports under its first member's index.
+    groups = _partition(scenario, shards)
+    heads = [members[0] for members in groups]
+    columns = []
+    for members in groups:
+        specs = [scenario.shards[i] for i in members]
+        if len(specs) == 1:
+            columns.append(f"{specs[0].host}:{','.join(specs[0].tiers)}")
+        else:
+            columns.append("+".join(spec.host for spec in specs))
     width = max(26, max(len(c) for c in columns) + 2)
     print(
         f"{'sim time':>9}  {'window':>7}  "
@@ -590,14 +603,14 @@ def _monitor_datacenter(args, name) -> int:
 
     def show(window) -> None:
         latest[window.shard] = window
-        if len(latest) < len(scenario.shards):
+        if len(latest) < len(heads):
             return
         common = min(w.index for w in latest.values())
         if common <= printed[0]:
             return
         printed[0] = common
         cells = []
-        for index in range(len(scenario.shards)):
+        for index in heads:
             w = latest[index]
             cells.append(
                 f"ev={w.events} tx={w.sent} rx={w.received}".rjust(width)

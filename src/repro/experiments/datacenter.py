@@ -11,11 +11,13 @@ conservative safe-window protocol of :mod:`repro.sim.sharded`
 ``run_datacenter(scenario, shards=1)`` executes every shard domain
 side by side inside **one** simulator (deliveries scheduled directly
 at send time) — the reference interleaving.  ``shards=K`` for
-``2 <= K <= n`` runs ``K`` worker processes, each owning a contiguous
-*group* of shard domains in one simulator: channels inside a group
-stay direct (:class:`~repro.sim.sharded.LocalChannel`), only
-cross-group channels go through the frame exchange, whose base window
-is the min lookahead over the *cross-group* links.  ``K == n`` is the
+``2 <= K <= n`` runs ``K`` worker processes, each owning a *group* of
+shard domains in one simulator: channels inside a group stay direct
+(:class:`~repro.sim.sharded.LocalChannel`), only cross-group channels
+go through the frame exchange, whose base window is the min lookahead
+over the *cross-group* links.  Groups balance each worker's share of
+the discrete traffic and then cut only the widest links, so they need
+not be contiguous (:func:`_partition`).  ``K == n`` is the
 one-host-per-worker sharding; dispatch order within each simulator is
 identical to the reference in every mode, so request CSVs and event
 counts match byte for byte (``tests/test_determinism.py``) while the
@@ -44,9 +46,12 @@ the equivalence hold by construction rather than by luck.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
+import time
 import traceback
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -69,6 +74,8 @@ from ..sim.sharded import (
     PackedConnection,
     ShardRunner,
     ShardWindow,
+    SpinReceive,
+    spin_seconds,
 )
 from ..workload.rubbos import RubbosWorkload
 from .configs import AttackSpec, RubbosScenario
@@ -336,16 +343,109 @@ def _make_link(
 # -- execution groups -------------------------------------------------------
 
 
-def _partition(n: int, k: int) -> List[List[int]]:
-    """Contiguous split of shard indices ``0..n-1`` into ``k`` groups."""
-    base, extra = divmod(n, k)
-    groups: List[List[int]] = []
-    start = 0
-    for g in range(k):
-        size = base + (1 if g < extra else 0)
-        groups.append(list(range(start, start + size)))
-        start += size
-    return groups
+def _shard_weights(scenario: DatacenterScenario) -> List[Fraction]:
+    """Each shard's share of the discrete traffic, as an exact fraction.
+
+    Every request visits every tier once, except the replicated back
+    tier, which one of its ``R`` replicas serves: a shard weighs 1 per
+    tier it serves, a replica ``1/R``.  The per-host fluid bulk costs
+    the same on every host, so it is left out.
+    """
+    _, replicas = scenario.layout()
+    return [
+        Fraction(len(spec.tiers), len(replicas) if i in replicas else 1)
+        for i, spec in enumerate(scenario.shards)
+    ]
+
+
+def _growth_strings(m: int, k: int):
+    """Every labelling of ``m`` items into at most ``k`` unnamed groups
+    (restricted growth strings: first use of each label in order)."""
+    if m == 0:
+        yield []
+        return
+    for head in _growth_strings(m - 1, k):
+        for label in range(min(max(head, default=-1) + 2, k)):
+            yield head + [label]
+
+
+def _partition(scenario: DatacenterScenario, k: int) -> List[List[int]]:
+    """Split the shards into ``k`` non-empty execution groups.
+
+    Minimises the heaviest group's weight (:func:`_shard_weights`),
+    then maximises the base window (the least cross-group lookahead),
+    then keeps the first candidate in enumeration order.  Replicas
+    weigh the same and each talks only to their common upstream shard,
+    so only the non-replica shards are enumerated (a handful of
+    labellings).  For each labelling the least reachable maximum and
+    the replica count per group follow in closed form; the upstream's
+    group takes as many replicas as that maximum allows — the ones
+    with the least lookahead to it, since only the replicas outside
+    its group bound the window — and the rest fill the other groups
+    in shard order.  Groups come back sorted, ordered by first member.
+    """
+    n = len(scenario.shards)
+    if k == 1:
+        return [list(range(n))]
+    edges, replicas = scenario.layout()
+    r = len(replicas)
+    singles = [i for i in range(n) if i not in replicas]
+    # Weights in units of 1/R: a non-replica tier is R units, a replica 1.
+    units = [len(scenario.shards[i].tiers) * max(r, 1) for i in singles]
+    near: List[int] = []
+    if replicas:
+        topology = scenario.topology
+        upstream = next(e.upstream for e in edges if e.downstream in replicas)
+        up_host = scenario.shards[upstream].host
+
+        def distance(i: int) -> Tuple[float, int]:
+            host = scenario.shards[i].host
+            return (
+                min(
+                    topology.lookahead(up_host, host),
+                    topology.lookahead(host, up_host),
+                ),
+                i,
+            )
+
+        near = sorted(replicas, key=distance)
+    best: Optional[Tuple[Tuple[int, float], List[List[int]]]] = None
+    for labels in _growth_strings(len(singles), k):
+        used = max(labels) + 1
+        if k - used > r:
+            continue
+        load = [0] * k
+        groups: List[List[int]] = [[] for _ in range(k)]
+        for label, index, weight in zip(labels, singles, units):
+            load[label] += weight
+            groups[label].append(index)
+        # Groups without a non-replica shard need one replica at least.
+        floor = [0 if g < used else 1 for g in range(k)]
+        top = max(
+            max(w + f for w, f in zip(load, floor)),
+            -(-(sum(load) + r) // k),
+        )
+        if replicas:
+            home = labels[singles.index(upstream)]
+            count = list(floor)
+            count[home] = min(top - load[home], r - sum(floor))
+            spare = r - sum(count)
+            for g in range(k):
+                if g != home:
+                    extra = min(spare, top - load[g] - count[g])
+                    count[g] += extra
+                    spare -= extra
+            groups[home].extend(near[: count[home]])
+            rest = iter(sorted(near[count[home] :]))
+            for g in range(k):
+                if g != home:
+                    groups[g].extend(next(rest) for _ in range(count[g]))
+        group_of = {i: g for g, members in enumerate(groups) for i in members}
+        key = (top, -_group_window(scenario, group_of))
+        if best is None or key < best[0]:
+            best = (key, groups)
+    assert best is not None, f"no {k}-way partition of {n} shards"
+    return sorted(sorted(members) for members in best[1])
 
 
 def _group_window(
@@ -569,6 +669,9 @@ class DatacenterRun:
     #: Synchronization mode the run used (recorded for benchmarks).
     adaptive: bool = True
     packed: bool = True
+    #: Shard indices each worker ran, one tuple per worker (a single
+    #: group of every shard when unsharded).
+    groups: Tuple[Tuple[int, ...], ...] = ()
 
     @property
     def event_count(self) -> int:
@@ -728,6 +831,7 @@ def _run_single(
         failed=list(front.app.failed),
         adaptive=False,
         packed=False,
+        groups=(tuple(range(len(scenario.shards))),),
     )
 
 
@@ -741,9 +845,18 @@ def _worker_main(
     window_stride: int,
     adaptive: bool,
     packed: bool,
+    spin: float,
+    unused: List[Any],
 ) -> None:
     """One group worker: build its shard domains, run the exchange
-    loop, ship results."""
+    loop, ship results.
+
+    ``unused`` holds every inherited pipe end that is not this
+    worker's; closing them first lets a dead peer reach its neighbours
+    as EOF instead of a read that blocks forever.
+    """
+    for conn in unused:
+        conn.close()
     try:
         sim = Simulator()
         counter = EventCounter()
@@ -795,7 +908,8 @@ def _worker_main(
             )
 
         def transport(conn: Any) -> Any:
-            return PackedConnection(conn) if packed else conn
+            wire = PackedConnection(conn) if packed else conn
+            return SpinReceive(wire, spin) if spin else wire
 
         out_cids = sorted(cross_out)
         in_cids = sorted(cross_in)
@@ -823,6 +937,10 @@ def _worker_main(
         )
         with _population_frozen():
             runner.run()
+        # The worker exits once its results are shipped: spare it the
+        # full collections over the just-unfrozen world that building
+        # and pickling them would otherwise trigger.
+        gc.disable()
         member_payloads = []
         for position, index in enumerate(members):
             domain = domains[position]
@@ -878,13 +996,16 @@ def run_datacenter(
 
     ``shards=1`` runs the unsharded reference (one simulator);
     ``shards=K`` for ``2 <= K <= n`` runs ``K`` worker processes over
-    contiguous shard groups (``K = n``, the default, is one worker per
-    host).  ``adaptive`` selects promise-driven windows, ``packed``
-    the struct-packed frame transport; every combination is
-    byte-identical to the reference.  ``progress`` and/or ``bus``
-    receive :class:`~repro.sim.sharded.ShardWindow` reports — the bus
-    on topic ``"shard.window"`` — throttled to roughly one per group
-    per simulated second (override with ``window_stride``).
+    the shard groups :func:`_partition` picks — balanced by traffic
+    weight, cut at the widest links, not necessarily contiguous
+    (``K = n``, the default, is one worker per host).  ``adaptive``
+    selects promise-driven windows, ``packed`` the struct-packed frame
+    transport; every combination is byte-identical to the reference.
+    ``progress`` and/or ``bus`` receive
+    :class:`~repro.sim.sharded.ShardWindow` reports — the bus on topic
+    ``"shard.window"`` — throttled to roughly one per group per
+    simulated second (override with ``window_stride``).  A worker that
+    dies raises :class:`RuntimeError` naming its shards.
     """
     n = len(scenario.shards)
     if shards is None:
@@ -896,15 +1017,18 @@ def run_datacenter(
             f"{scenario.name} has {n} shards; run with 1 <= shards <= "
             f"{n}, got {shards}"
         )
-    groups = _partition(n, shards)
+    groups = _partition(scenario, shards)
     group_of = {
         index: g for g, members in enumerate(groups) for index in members
     }
     window = _group_window(scenario, group_of)
     stride = window_stride or _default_stride(scenario)
+    spin = spin_seconds(shards)
     ctx = mp.get_context("fork")
     # One pipe per cross-group channel, endpoints handed to the two
     # workers; one result pipe per worker back to the coordinator.
+    # Every pipe exists before the first fork, so each process can
+    # close exactly the ends it does not own.
     chan_recv: Dict[int, Any] = {}
     chan_send: Dict[int, Any] = {}
     specs = _channel_specs(scenario)
@@ -912,14 +1036,17 @@ def run_datacenter(
         spec for spec in specs if group_of[spec[1]] != group_of[spec[2]]
     ]
     for cid, _, _, _, _ in cross:
-        r, w = ctx.Pipe(duplex=False)
-        chan_recv[cid] = r
-        chan_send[cid] = w
-    result_conns = []
+        chan_recv[cid], chan_send[cid] = ctx.Pipe(duplex=False)
+    result_pipes = [ctx.Pipe(duplex=False) for _ in groups]
+    worker_ends = [
+        *chan_recv.values(),
+        *chan_send.values(),
+        *(child for _, child in result_pipes),
+    ]
+    every_end = worker_ends + [parent for parent, _ in result_pipes]
     workers = []
-    for members in groups:
+    for members, (_, child_conn) in zip(groups, result_pipes):
         member_set = set(members)
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
         out_conns = {
             cid: chan_send[cid]
             for cid, s, _, _, _ in cross
@@ -930,6 +1057,7 @@ def run_datacenter(
             for cid, _, r, _, _ in cross
             if r in member_set
         }
+        mine = {*out_conns.values(), *in_conns.values(), child_conn}
         worker = ctx.Process(
             target=_worker_main,
             args=(
@@ -942,55 +1070,19 @@ def run_datacenter(
                 stride,
                 adaptive,
                 packed,
+                spin,
+                [conn for conn in every_end if conn not in mine],
             ),
             name=f"shard-{members[0]}-{scenario.shards[members[0]].host}",
         )
         worker.start()
-        result_conns.append(parent_conn)
         workers.append(worker)
+    for conn in worker_ends:
+        conn.close()
 
-    payloads: Dict[int, dict] = {}
-    pending = set(result_conns)
-    failure: Optional[str] = None
-    try:
-        while pending and failure is None:
-            for conn in mp_connection.wait(list(pending)):
-                try:
-                    message = conn.recv()
-                except EOFError:
-                    failure = "shard worker died without reporting"
-                    break
-                kind = message[0]
-                if kind == "window":
-                    _, idx, host, win, now, events, sent, received = message
-                    report = ShardWindow(
-                        shard=idx,
-                        host=host,
-                        index=win,
-                        now=now,
-                        events=events,
-                        sent=sent,
-                        received=received,
-                    )
-                    if bus is not None:
-                        bus.publish("shard.window", report)
-                    if progress is not None:
-                        progress(report)
-                elif kind == "done":
-                    payloads[message[1]] = message[2]
-                    pending.discard(conn)
-                else:  # "error"
-                    failure = message[2]
-                    break
-    finally:
-        if failure is not None:
-            for worker in workers:
-                worker.terminate()
-        for worker in workers:
-            worker.join()
-    if failure is not None:
-        raise RuntimeError(f"sharded run failed:\n{failure}")
-
+    payloads = _collect(
+        scenario, groups, workers, [p for p, _ in result_pipes], progress, bus
+    )
     results: List[ShardResult] = []
     completed: List[Request] = []
     failed: List[Request] = []
@@ -1018,6 +1110,7 @@ def run_datacenter(
             if index == 0:
                 completed = member["completed"]
                 failed = member["failed"]
+    results.sort(key=lambda result: result.index)
     return DatacenterRun(
         scenario=scenario,
         shards_used=shards,
@@ -1027,7 +1120,121 @@ def run_datacenter(
         failed=failed,
         adaptive=adaptive,
         packed=packed,
+        groups=tuple(tuple(members) for members in groups),
     )
+
+
+#: Host seconds the coordinator keeps collecting reports after the
+#: first failure, so the error names the worker that died rather than
+#: only the neighbours that then read EOF from it.
+_FAILURE_GRACE = 2.0
+
+
+def _collect(
+    scenario: DatacenterScenario,
+    groups: List[List[int]],
+    workers: List[Any],
+    result_conns: List[Any],
+    progress: Optional[Callable[[ShardWindow], None]],
+    bus: Any,
+) -> Dict[int, dict]:
+    """Coordinator loop: forward progress, gather every group's results.
+
+    Waits on each worker's result pipe *and* its process sentinel, so
+    a worker killed without reporting is noticed at once.  On the
+    first failure the remaining workers get :data:`_FAILURE_GRACE`
+    seconds to report (their peers' deaths reach them as EOF), then
+    are terminated, and :class:`RuntimeError` lists every dead worker
+    first, then every error traceback.
+    """
+
+    def label(g: int) -> str:
+        hosts = ",".join(scenario.shards[i].host for i in groups[g])
+        return f"shard worker {workers[g].name} (shards {groups[g]}: {hosts})"
+
+    payloads: Dict[int, dict] = {}
+    dead: List[str] = []
+    errors: List[str] = []
+    pending = dict(enumerate(result_conns))
+    deadline: Optional[float] = None
+
+    def receive(g: int) -> None:
+        # Unpickling a front group's request objects is ~2x faster
+        # without cyclic GC passes firing mid-load.
+        manage_gc = gc.isenabled()
+        if manage_gc:
+            gc.disable()
+        try:
+            message = result_conns[g].recv()
+        except EOFError:
+            workers[g].join(_FAILURE_GRACE)
+            dead.append(
+                f"{label(g)} died with exit code {workers[g].exitcode} "
+                "without reporting"
+            )
+            del pending[g]
+            return
+        finally:
+            if manage_gc:
+                gc.enable()
+        kind = message[0]
+        if kind == "window":
+            _, idx, host, win, now, events, sent, received = message
+            report = ShardWindow(
+                shard=idx,
+                host=host,
+                index=win,
+                now=now,
+                events=events,
+                sent=sent,
+                received=received,
+            )
+            if bus is not None:
+                bus.publish("shard.window", report)
+            if progress is not None:
+                progress(report)
+        elif kind == "done":
+            payloads[message[1]] = message[2]
+            del pending[g]
+        else:  # "error"
+            errors.append(f"{label(g)} raised:\n{message[2]}")
+            del pending[g]
+
+    try:
+        while pending:
+            timeout = None
+            if dead or errors:
+                if deadline is None:
+                    deadline = time.monotonic() + _FAILURE_GRACE
+                timeout = max(0.0, deadline - time.monotonic())
+            waitables = {result_conns[g]: g for g in pending}
+            waitables.update({workers[g].sentinel: g for g in pending})
+            ready = mp_connection.wait(list(waitables), timeout)
+            if not ready:
+                break
+            for obj in ready:
+                g = waitables[obj]
+                if isinstance(obj, int):  # the process sentinel
+                    # Exited: drain what it wrote; EOF means it never
+                    # finished reporting.
+                    while g in pending:
+                        receive(g)
+                elif g in pending:
+                    receive(g)
+    finally:
+        if pending:
+            for worker in workers:
+                worker.terminate()
+        for worker in workers:
+            worker.join()
+        for conn in result_conns:
+            conn.close()
+    if dead or errors or pending:
+        stalled = [f"{label(g)} did not report" for g in pending]
+        raise RuntimeError(
+            "sharded run failed:\n" + "\n".join(dead + errors + stalled)
+        )
+    return payloads
 
 
 #: Two hosts in two racks across the spine: apache+tomcat face the

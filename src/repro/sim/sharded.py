@@ -61,15 +61,24 @@ than the pipe buffer.
   repeated strings (page names, demand-key shapes, tier names)
   interned per link, so the ``Connection`` hot path serializes one
   ``bytes`` object per window instead of pickling every RPC tuple.
+
+**Receive policy** — when every worker has a core of its own, the
+datacenter runner wraps each inbound transport in :class:`SpinReceive`
+(which also needs ``poll()``): a bounded busy poll, then the blocking
+read.  It changes when a frame is read, never which one.
 """
 
 from __future__ import annotations
 
+import gc
+import os
 import pickle
+import select
 import struct
 from dataclasses import dataclass
 from functools import partial
 from math import inf
+from time import perf_counter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .core import Simulator
@@ -82,6 +91,8 @@ __all__ = [
     "PackedConnection",
     "ShardRunner",
     "ShardWindow",
+    "SpinReceive",
+    "spin_seconds",
 ]
 
 
@@ -450,10 +461,14 @@ class PackedConnection:
     :class:`FrameCodec` buffer goes down the pipe as one raw blob.
     """
 
-    __slots__ = ("conn",)
+    __slots__ = ("conn", "_poller")
 
     def __init__(self, conn: Any):
         self.conn = conn
+        # A registered poll object: ~10x cheaper per check than
+        # ``Connection.poll``, which builds a selector on every call.
+        self._poller = select.poll()
+        self._poller.register(conn.fileno(), select.POLLIN)
 
     def send(self, buf: bytes) -> None:
         self.conn.send_bytes(buf)
@@ -461,11 +476,66 @@ class PackedConnection:
     def recv(self) -> bytes:
         return self.conn.recv_bytes()
 
+    def poll(self) -> bool:
+        return bool(self._poller.poll(0))
+
+
+#: How long :class:`SpinReceive` polls before it blocks, in host
+#: seconds: several times a typical window's compute, so the frame of
+#: a peer that is merely a little behind is caught without a sleep,
+#: while a peer that is far behind (building its world, finishing)
+#: still costs only one blocking read.
+SPIN_SECONDS = 0.005
+
+
+def spin_seconds(workers: int) -> float:
+    """Spin budget for ``workers`` concurrent shard processes.
+
+    Spinning only pays when every worker owns a core: with more
+    workers than usable cores a spinning receiver steals the core its
+    peer needs to produce the frame, so the budget is then zero.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        cores = os.cpu_count() or 1
+    return SPIN_SECONDS if workers <= cores else 0.0
+
+
+class SpinReceive:
+    """Adapter: poll a transport for up to ``seconds``, then block.
+
+    A blocking pipe read that finds no frame puts the process to
+    sleep, and the wake-up when the frame lands costs a scheduler
+    round trip — on a virtual machine, often more than the window's
+    compute.  On a dedicated core a bounded busy poll catches the
+    frame awake.  The wrapped transport needs ``send`` / ``recv`` /
+    ``poll``; the frames returned are exactly the wrapped transport's.
+    """
+
+    __slots__ = ("inner", "seconds", "send")
+
+    def __init__(self, inner: Any, seconds: float):
+        self.inner = inner
+        self.seconds = seconds
+        self.send = inner.send
+
+    def recv(self) -> Any:
+        poll = self.inner.poll
+        if not poll():
+            deadline = perf_counter() + self.seconds
+            while not poll() and perf_counter() < deadline:
+                pass
+        return self.inner.recv()
+
 
 # -- the runner -------------------------------------------------------------
 
 #: Upper bound on declared per-link silence, in lock-step rounds.
 MAX_SKIP = 4
+
+#: Exchange rounds between the window loop's generation-1 collections.
+GC_ROUNDS = 256
 
 #: Relative strictness guard on promises derived from a pending-event
 #: peek: a send *at* the peeked time plus sequential stage arithmetic
@@ -530,6 +600,7 @@ class ShardRunner:
         self.frames_received = 0
         #: Per-incoming-link delivered message counts (rank order).
         self.received_per_link = [0] * len(self.incoming)
+        self._collect = False
         self._encoders = (
             [FrameCodec() for _ in self.outgoing] if packed else []
         )
@@ -542,10 +613,27 @@ class ShardRunner:
         return sum(codec.bytes for codec in self._encoders)
 
     def run(self) -> None:
-        if self.adaptive:
-            self._run_adaptive()
-        else:
-            self._run_fixed()
+        """Run the window loop to ``duration``.
+
+        Like :meth:`Simulator.run`, the loop holds the cyclic collector
+        off and runs a generation-1 collection every
+        :data:`GC_ROUNDS` rounds instead.  Left on, it would be
+        re-enabled at every window boundary, and the exchange phase's
+        allocations would then trigger full sweeps over every request
+        the run has retained.  Pure memory management; a caller that
+        already disabled GC is left alone.
+        """
+        self._collect = gc.isenabled()
+        if self._collect:
+            gc.disable()
+        try:
+            if self.adaptive:
+                self._run_adaptive()
+            else:
+                self._run_fixed()
+        finally:
+            if self._collect:
+                gc.enable()
 
     # -- fixed windows (PR-9 protocol) ---------------------------------
 
@@ -599,6 +687,8 @@ class ShardRunner:
                 for time, _, _, deliver, payload in staged:
                     inject(time, partial(deliver, payload))
             index += 1
+            if self._collect and index % GC_ROUNDS == 0:
+                gc.collect(1)
             t = t_end
             if on_window is not None and (
                 index % stride == 0 or t >= duration
@@ -663,6 +753,8 @@ class ShardRunner:
                 sim.run(until=target)
                 t = target
             rounds += 1
+            if self._collect and rounds % GC_ROUNDS == 0:
+                gc.collect(1)
 
             # Send phase: every open link whose schedule is due.  The
             # promise uses the *pre-receive* inbound bound — events

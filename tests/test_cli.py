@@ -116,6 +116,22 @@ class TestDatacenterCli:
         ) == 0
         assert "fixed windows" in capsys.readouterr().out
 
+    def test_transport_line_names_groups_and_window(self, capsys):
+        assert main(["run", "dc-4host", "--shards", "2", *self.DC_ARGS]) == 0
+        out = capsys.readouterr().out
+        (line,) = [row for row in out.splitlines() if "transport:" in row]
+        assert "window=12.02ms" in line
+        assert line.endswith("groups [h1,h2] [h3,h4]")
+
+    def test_monitor_shows_one_column_per_group(self, capsys):
+        assert main(
+            ["monitor", "dc-4host", "--shards", "2", *self.DC_ARGS]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "h1+h2" in out and "h3+h4" in out
+        rows = [row for row in out.splitlines() if "ev=" in row]
+        assert rows and all(row.count("ev=") == 2 for row in rows)
+
     def test_shards_rejects_non_integer(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "dc-2host", "--shards", "many"])

@@ -23,10 +23,16 @@ from repro.cloud import (
     rack_aware_placement,
 )
 from repro.experiments.datacenter import (
+    DATACENTERS,
     DC_2HOST,
     DC_4HOST,
+    DC_8HOST,
+    DC_16HOST,
     DatacenterScenario,
     ShardSpec,
+    _group_window,
+    _partition,
+    _shard_weights,
     run_datacenter,
 )
 from repro.net import CrossHostLink
@@ -40,7 +46,13 @@ from repro.ntier.remote import (
 from repro.ntier.request import Request
 from repro.sim import SimulationError, Simulator
 from repro.sim.core import Timeout
-from repro.sim.sharded import FrameChannel, ShardRunner
+from repro.sim.sharded import (
+    SPIN_SECONDS,
+    FrameChannel,
+    ShardRunner,
+    SpinReceive,
+    spin_seconds,
+)
 
 TOPO = RackTopology(racks=(("r1", ("a", "b")), ("r2", ("c", "d"))))
 
@@ -325,6 +337,31 @@ class TestShardRunner:
         with pytest.raises(ValueError):
             ShardRunner(sim, duration=0.0, window=0.1, outgoing=[], incoming=[])
 
+    def test_run_holds_gc_off_and_restores_it(self):
+        import gc
+
+        def runner(seen):
+            return ShardRunner(
+                Simulator(),
+                duration=0.4,
+                window=self.WINDOW,
+                outgoing=[],
+                incoming=[],
+                # Called between windows, outside Simulator.run.
+                on_window=lambda *_: seen.append(gc.isenabled()),
+            )
+
+        seen = []
+        runner(seen).run()
+        assert seen == [False] * 4
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            runner([]).run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
 
 class DirectChannel:
     """Loopback channel: deliver to the bound handler after ``delay``."""
@@ -503,8 +540,8 @@ class TestDatacenterScenarioValidation:
             )
 
     def test_run_rejects_out_of_range_shard_counts(self):
-        # Any 1 <= K <= n is a valid contiguous grouping now; only
-        # counts outside that range are rejected.
+        # Any 1 <= K <= n is a valid grouping (DESIGN.md §12, grouped
+        # shards); only counts outside that range are rejected.
         with pytest.raises(ValueError, match="1 <= shards"):
             run_datacenter(DC_2HOST, shards=3)
         with pytest.raises(ValueError, match="1 <= shards"):
@@ -626,6 +663,9 @@ class QueueTransport:
     def send(self, obj):
         self.out_q.put(obj)
 
+    def poll(self):
+        return not self.in_q.empty()
+
     def recv(self):
         import queue as queue_mod
 
@@ -644,13 +684,15 @@ def run_shard_pair(
     window,
     adaptive,
     packed=False,
+    spin=0,
 ):
     """Two ShardRunner threads exchanging over queue transports.
 
     Each side pre-schedules timer-driven sends on its own simulator;
     returns the two delivery logs as ``[(delivery_time, payload), ...]``
     in handler-invocation order — exactly the injection order the
-    protocol produced.
+    protocol produced.  ``spin > 0`` wraps every transport in a
+    :class:`SpinReceive` that polls for up to ``spin`` seconds.
     """
     import queue
     import threading
@@ -674,12 +716,15 @@ def run_shard_pair(
             for t, payload in sends:
                 sim.defer_at(t, partial(out_ch.send, t, payload))
             out_q, in_q = (q_ab, q_ba) if side == 0 else (q_ba, q_ab)
+            transport = QueueTransport(out_q, in_q)
+            if spin:
+                transport = SpinReceive(transport, spin)
             runner = ShardRunner(
                 sim,
                 duration=duration,
                 window=window,
-                outgoing=[(QueueTransport(out_q, in_q), out_ch)],
-                incoming=[(QueueTransport(out_q, in_q), in_ch)],
+                outgoing=[(transport, out_ch)],
+                incoming=[(transport, in_ch)],
                 adaptive=adaptive,
                 packed=packed,
                 reverse=[0],
@@ -829,3 +874,170 @@ class TestAdaptiveRunner:
         logs, _ = self.run_modes(sends_a, sends_b, la, lb)
         assert logs[1] == expected_deliveries(sends_a, la)
         assert logs[0] == expected_deliveries(sends_b, lb)
+
+
+class TestSpinReceive:
+    """Spin-then-block reads change when a frame is read, never which."""
+
+    W = 0.1
+
+    def test_spin_delivers_the_blocking_frames(self):
+        sends_a = [(0.033 * i, f"a{i}") for i in range(28)]
+        sends_b = [(0.051 * i, f"b{i}") for i in range(18)]
+        for adaptive, packed in ((False, False), (True, False), (True, True)):
+            blocking, rounds, _ = run_shard_pair(
+                sends_a, sends_b, 2 * self.W, self.W, 1.0, self.W,
+                adaptive=adaptive, packed=packed,
+            )
+            spun, spun_rounds, _ = run_shard_pair(
+                sends_a, sends_b, 2 * self.W, self.W, 1.0, self.W,
+                adaptive=adaptive, packed=packed, spin=0.01,
+            )
+            assert spun == blocking
+            assert spun_rounds == rounds
+            assert blocking[1] == expected_deliveries(sends_a, 2 * self.W)
+
+    def test_blocks_after_the_spin_budget(self):
+        import time
+
+        class Late:
+            polls = 0
+
+            def send(self, obj):
+                pass
+
+            def poll(self):
+                self.polls += 1
+                return False
+
+            def recv(self):
+                return "frame"
+
+        inner = Late()
+        started = time.perf_counter()
+        assert SpinReceive(inner, 0.01).recv() == "frame"
+        assert time.perf_counter() - started >= 0.01
+        assert inner.polls > 1
+
+    def test_spin_is_off_when_workers_exceed_cores(self):
+        import os
+
+        cores = len(os.sched_getaffinity(0))
+        assert spin_seconds(cores + 1) == 0
+        assert spin_seconds(cores) == SPIN_SECONDS > 0
+
+
+def contiguous_split(n, k):
+    """The earlier grouping: ``k`` runs of consecutive shard indices."""
+    base, extra = divmod(n, k)
+    groups, start = [], 0
+    for g in range(k):
+        size = base + (1 if g < extra else 0)
+        groups.append(list(range(start, start + size)))
+        start += size
+    return groups
+
+
+def heaviest(scenario, groups):
+    weights = _shard_weights(scenario)
+    return max(sum(weights[i] for i in members) for members in groups)
+
+
+def window_of(scenario, groups):
+    return _group_window(
+        scenario, {i: g for g, members in enumerate(groups) for i in members}
+    )
+
+
+class TestPartition:
+    """Shard groups balance traffic weight and cut at wide links."""
+
+    def test_weights_are_exact_traffic_shares(self):
+        from fractions import Fraction
+
+        assert _shard_weights(DC_2HOST) == [2, 1]
+        assert _shard_weights(DC_8HOST) == [1, 1] + [Fraction(1, 6)] * 6
+        assert all(type(w) is Fraction for w in _shard_weights(DC_16HOST))
+
+    @pytest.mark.parametrize("name", sorted(DATACENTERS))
+    def test_groups_cover_every_shard_once(self, name):
+        scenario = DATACENTERS[name]
+        n = len(scenario.shards)
+        for k in range(1, n + 1):
+            groups = _partition(scenario, k)
+            assert len(groups) == k
+            assert all(groups)
+            assert sorted(i for members in groups for i in members) == list(
+                range(n)
+            )
+            assert groups == _partition(scenario, k)
+
+    @pytest.mark.parametrize("scenario", [DC_4HOST, DC_8HOST, DC_16HOST])
+    def test_two_groups_beat_the_contiguous_split(self, scenario):
+        groups = _partition(scenario, 2)
+        contiguous = contiguous_split(len(scenario.shards), 2)
+        assert window_of(scenario, groups) >= window_of(scenario, contiguous)
+        assert heaviest(scenario, groups) <= heaviest(scenario, contiguous)
+
+    def test_dc8_pairs_apache_and_tomcat_with_half_the_replicas(self):
+        front, back = _partition(DC_8HOST, 2)
+        hosts = [DC_8HOST.shards[i].host for i in back]
+        # apache + 3 replicas | tomcat + its rack peer h4 + 2 replicas:
+        # every cut link is spine class, so the window doubles.
+        assert front[0] == 0 and len(front) == 4
+        assert hosts[0] == "h3" and "h4" in hosts and len(hosts) == 4
+        topo = DC_8HOST.topology
+        assert window_of(DC_8HOST, [front, back]) == topo.lookahead("h1", "h3")
+        assert window_of(DC_8HOST, [front, back]) > 1.9 * DC_8HOST.window
+
+    def test_cheap_on_the_largest_scenario(self):
+        import time
+
+        started = time.perf_counter()
+        for k in range(1, len(DC_16HOST.shards) + 1):
+            _partition(DC_16HOST, k)
+        assert time.perf_counter() - started < 2.0
+
+
+class TestFailFast:
+    """A dead shard worker raises promptly instead of hanging."""
+
+    BOUND = 30.0
+
+    def test_killed_worker_raises_naming_it(self):
+        import multiprocessing
+        import os
+        import signal
+        import time
+
+        killed = []
+
+        def kill_once(report):
+            if killed:
+                return
+            for child in multiprocessing.active_children():
+                if child.name.startswith("shard-") and not child.name.startswith(
+                    "shard-0-"
+                ):
+                    os.kill(child.pid, signal.SIGKILL)
+                    killed.append(child.name)
+                    return
+
+        def hung(signum, frame):  # pragma: no cover - the failure mode
+            raise AssertionError("run_datacenter hung on a dead worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(int(3 * self.BOUND))
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError) as info:
+                run_datacenter(
+                    DC_4HOST, shards=2, progress=kill_once, window_stride=5
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < self.BOUND
+        assert killed
+        assert killed[0] in str(info.value)
+        assert "died" in str(info.value)
