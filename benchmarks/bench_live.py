@@ -102,7 +102,7 @@ def measure_fresh(mode: str, quick: bool, repeat: int) -> dict:
             sys.executable,
             os.path.abspath(__file__),
             "--worker",
-            "--mode", mode,
+            "--worker-mode", mode,
         ]
         if quick:
             cmd.append("--quick")
@@ -226,11 +226,13 @@ def main() -> int:
     parser.add_argument(
         "--worker", action="store_true", help=argparse.SUPPRESS
     )
-    parser.add_argument("--mode", default=None, help=argparse.SUPPRESS)
+    parser.add_argument(
+        "--worker-mode", default=None, help=argparse.SUPPRESS
+    )
     args = parser.parse_args()
 
     if args.worker:
-        print(json.dumps(run_once(args.mode or "plain", args.quick)))
+        print(json.dumps(run_once(args.worker_mode or "plain", args.quick)))
         return 0
 
     report = {

@@ -5,32 +5,23 @@ with a ``--check`` gate:
 
 * **identity** — a sharded run (worker processes synchronized by the
   safe-window exchange) must be *byte-identical* to the
-  single-process reference in every transport mode: same post-warmup
+  single-process reference: same post-warmup
   request CSV, the exact same total dispatched-event count, and an
   identical merged latency sketch.  This gate is unconditional — it
   holds on any box, at any core count, and is the property DESIGN.md
   §12 proves.
-* **sync overhead** — the adaptive safe-window protocol + packed
-  frame transport must cut per-window synchronization work by at
-  least ``SYNC_REDUCTION_FLOOR`` versus the legacy fixed-window
-  pickle wire.  The unit is deterministic and core-count-independent:
-  the legacy wire pays one general pickle per cross-shard *message*
-  plus one send per *frame* (``units = messages + frames``); the
-  packed wire pays one struct-packed buffer per frame and nothing
-  per message (``units = frames``), and adaptive widening/skip makes
-  the frames themselves sparser.  Both runs cover the same simulated
-  duration, so the unit ratio *is* the per-window overhead ratio.
-  Gated in full mode when both modes run (``--mode both``, the
-  default); in quick mode the ratio is recorded but not gated —
-  dc-2host's only cross-host link sits at the base lookahead, so
-  adaptive widening has nothing to cut there.
+* **geometry** — the lock-step loop's exchange count is an exact
+  function of the scenario: every group runs
+  ``ceil(duration / window)`` rounds and puts one frame per
+  cross-group link on the wire each round, so ``frames == rounds x
+  cross-group links``.  Deterministic and core-count-independent.
 * **speedup** — with one core per worker the sharded run must beat
   the single-process wall clock by the floor factor.  Wall clock is
   the one machine-dependent gate: it is only enforced when the box
   has at least as many cores as workers; otherwise the measured
   ratio is recorded and an explicit ``wall-clock gate skipped
-  (cores < shards)`` line is printed — byte identity and the sync
-  unit count, not wall clock, are the portable contracts.
+  (cores < shards)`` line is printed — byte identity and the exchange
+  geometry, not wall clock, are the portable contracts.
 
 Full mode additionally runs the **dc-8host hybrid leg**: every shard
 worker carries a per-host million-user fluid bulk (8M users total),
@@ -42,8 +33,6 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_shard.py            # full run
     PYTHONPATH=src python benchmarks/bench_shard.py --check    # full gate
     PYTHONPATH=src python benchmarks/bench_shard.py --quick --check  # CI
-    PYTHONPATH=src python benchmarks/bench_shard.py --quick --check \
-        --mode fixed                                    # legacy wire only
 
 Results land in ``benchmarks/results/BENCH_shard.json`` (or
 ``BENCH_shard_quick.json`` with ``--quick``).
@@ -55,6 +44,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import platform
 import sys
@@ -73,20 +63,7 @@ RESULTS_DIR = os.path.join(
 #: claim.
 SPEEDUP_FLOOR = {"full": 2.0, "quick": 0.2}
 
-#: Minimum reduction in sync units per window, adaptive+packed versus
-#: fixed+pickle, gated whenever both modes run.
-SYNC_REDUCTION_FLOOR = 5.0
-
 SCENARIOS = {"full": "dc-4host", "quick": "dc-2host"}
-
-#: Transport-mode name -> run_datacenter kwargs.  "fixed" is the
-#: legacy lock-step pickle wire; "adaptive" is the per-link
-#: safe-window protocol on struct-packed frames (the default mode of
-#: ``run_datacenter``).
-MODES = {
-    "fixed": {"adaptive": False, "packed": False},
-    "adaptive": {"adaptive": True, "packed": True},
-}
 
 
 def _requests_csv(run) -> str:
@@ -120,31 +97,46 @@ def _sketch_state(run) -> dict:
     }
 
 
-def _measure(scenario, shards: int, **kwargs) -> tuple:
+def _measure(scenario, shards: int) -> tuple:
     from repro.experiments.datacenter import run_datacenter
 
     t0 = time.perf_counter()
-    run = run_datacenter(scenario, shards=shards, **kwargs)
+    run = run_datacenter(scenario, shards=shards)
     wall = time.perf_counter() - t0
     return run, wall
 
 
-def _sync_units(run, mode: str) -> int:
-    """Core-count-independent synchronization work of a sharded run.
-
-    Legacy pickle wire: every cross-shard message is pickled through
-    the general object machinery and every frame is one send.  Packed
-    wire: one struct-packed buffer per frame, per-message cost is a
-    fixed-format pack (counted as zero units — it is bounded by the
-    memcpy the pickle wire *also* pays).
-    """
-    messages = sum(r.sent for r in run.shard_results)
-    frames = run.frames_exchanged
-    return messages + frames if MODES[mode]["packed"] is False else frames
-
-
-def _mode_record(run, wall: float, mode: str, reference) -> dict:
+def _identity(run, reference) -> dict:
     single, single_csv = reference
+    return {
+        "requests_csv": _requests_csv(run) == single_csv,
+        "event_count": run.event_count == single.event_count,
+        "latency_sketch": _sketch_state(run) == _sketch_state(single),
+    }
+
+
+def _geometry(run) -> dict:
+    """Exchange counts of a sharded run next to their exact values."""
+    from repro.experiments.datacenter import _channel_specs
+
+    scenario = run.scenario
+    group_of = {i: g for g, members in enumerate(run.groups) for i in members}
+    links = sum(
+        1
+        for _, sender, receiver, _, _ in _channel_specs(scenario)
+        if group_of[sender] != group_of[receiver]
+    )
+    rounds = math.ceil(scenario.base.duration / run.window)
+    return {
+        "cross_group_links": links,
+        "windows": sorted({r.windows for r in run.shard_results}),
+        "expected_rounds": rounds,
+        "frames": run.frames_exchanged,
+        "expected_frames": rounds * links,
+    }
+
+
+def _sharded_record(run, wall: float, reference) -> dict:
     return {
         "wall_seconds": wall,
         "events": run.event_count,
@@ -154,14 +146,8 @@ def _mode_record(run, wall: float, mode: str, reference) -> dict:
         "cross_shard_messages": sum(r.sent for r in run.shard_results),
         "frames": run.frames_exchanged,
         "wire_bytes": run.wire_bytes,
-        "sync_units": _sync_units(run, mode),
-        "identity": {
-            "requests_csv": _requests_csv(run) == single_csv,
-            "event_count": run.event_count == single.event_count,
-            "latency_sketch": (
-                _sketch_state(run) == _sketch_state(single)
-            ),
-        },
+        "geometry": _geometry(run),
+        "identity": _identity(run, reference),
         "per_shard": [
             {
                 "host": r.host,
@@ -176,7 +162,7 @@ def _mode_record(run, wall: float, mode: str, reference) -> dict:
     }
 
 
-def bench_shard(quick: bool, modes) -> dict:
+def bench_shard(quick: bool) -> dict:
     from repro.experiments.datacenter import DATACENTERS
 
     name = SCENARIOS["quick" if quick else "full"]
@@ -185,9 +171,8 @@ def bench_shard(quick: bool, modes) -> dict:
 
     single, single_wall = _measure(scenario, 1)
     single_csv = _requests_csv(single)
-    reference = (single, single_csv)
-
-    report = {
+    run, wall = _measure(scenario, shards)
+    return {
         "scenario": name,
         "users": scenario.base.users,
         "sim_seconds": scenario.base.duration,
@@ -200,22 +185,11 @@ def bench_shard(quick: bool, modes) -> dict:
             "completed": len(single.completed),
             "failed": len(single.failed),
         },
-        "modes": {},
+        "sharded": _sharded_record(run, wall, (single, single_csv)),
     }
-    for mode in modes:
-        run, wall = _measure(scenario, shards, **MODES[mode])
-        report["modes"][mode] = _mode_record(run, wall, mode, reference)
-
-    if "fixed" in report["modes"] and "adaptive" in report["modes"]:
-        fixed_units = report["modes"]["fixed"]["sync_units"]
-        adaptive_units = report["modes"]["adaptive"]["sync_units"]
-        report["sync_unit_reduction"] = (
-            fixed_units / adaptive_units if adaptive_units else float("inf")
-        )
-    return report
 
 
-def bench_hybrid(modes) -> dict:
+def hybrid_leg() -> dict:
     """The dc-8host hybrid leg: 1M fluid users per host, 8 hosts."""
     from repro.experiments.datacenter import DATACENTERS
 
@@ -223,8 +197,7 @@ def bench_hybrid(modes) -> dict:
     shards = len(scenario.shards)
     single, single_wall = _measure(scenario, 1)
     single_csv = _requests_csv(single)
-    mode = "adaptive" if "adaptive" in modes else "fixed"
-    run, wall = _measure(scenario, shards, **MODES[mode])
+    run, wall = _measure(scenario, shards)
     fluid = run.fluid_totals
     return {
         "scenario": "dc-8host",
@@ -233,18 +206,12 @@ def bench_hybrid(modes) -> dict:
         "bulk_users_total": fluid["bulk_users"] if fluid else 0.0,
         "sim_seconds": scenario.base.duration,
         "shards": shards,
-        "mode": mode,
         "single_wall_seconds": single_wall,
         "sharded_wall_seconds": wall,
         "fluid_completed": fluid["completed"] if fluid else 0.0,
         "fluid_dropped": fluid["dropped"] if fluid else 0.0,
-        "identity": {
-            "requests_csv": _requests_csv(run) == single_csv,
-            "event_count": run.event_count == single.event_count,
-            "latency_sketch": (
-                _sketch_state(run) == _sketch_state(single)
-            ),
-        },
+        "geometry": _geometry(run),
+        "identity": _identity(run, (single, single_csv)),
     }
 
 
@@ -256,21 +223,15 @@ def main() -> int:
              "and no dc-8host hybrid leg",
     )
     parser.add_argument(
-        "--mode", choices=("both", "adaptive", "fixed"), default="both",
-        help="which sharded transport mode(s) to run; the sync-overhead "
-             "reduction gate needs 'both' (default)",
-    )
-    parser.add_argument(
         "--check", action="store_true",
         help="exit nonzero unless every sharded run is byte-identical "
-             "to the single-process reference, the adaptive wire cuts "
-             "sync units by the floor (when both modes run), and (when "
-             "the box has enough cores) the wall-clock floor holds",
+             "to the single-process reference, its round and frame "
+             "counts match the window geometry exactly, and (when the "
+             "box has enough cores) the wall-clock floor holds",
     )
     parser.add_argument("--out", default=None, help="output JSON path")
     args = parser.parse_args()
 
-    modes = ("adaptive", "fixed") if args.mode == "both" else (args.mode,)
     cpu_count = os.cpu_count() or 1
     report = {
         "kind": "sharded-kernel-benchmark",
@@ -279,7 +240,7 @@ def main() -> int:
         "machine": platform.machine(),
         "cpu_count": cpu_count,
     }
-    result = bench_shard(args.quick, modes)
+    result = bench_shard(args.quick)
     report.update(result)
 
     print(
@@ -288,30 +249,24 @@ def main() -> int:
         f"window {result['window_seconds'] * 1e3:.2f}ms, "
         f"single-process {result['single_process']['wall_seconds']:.2f}s"
     )
-    for mode in modes:
-        rec = result["modes"][mode]
-        identity = rec["identity"]
-        print(
-            f"  {mode:>8}: {rec['wall_seconds']:.2f}s, "
-            f"{rec['rounds']} rounds, {rec['frames']} frames, "
-            f"{rec['cross_shard_messages']} messages, "
-            f"{rec['sync_units']} sync units"
-        )
-        print(
-            f"  {'':>8}  identity: csv={identity['requests_csv']} "
-            f"({result['request_rows']} rows) "
-            f"events={identity['event_count']} ({rec['events']:,}) "
-            f"sketch={identity['latency_sketch']}"
-        )
-    if "sync_unit_reduction" in result:
-        print(
-            f"  sync-unit reduction (fixed/adaptive): "
-            f"{result['sync_unit_reduction']:.1f}x"
-        )
+    rec = result["sharded"]
+    identity = rec["identity"]
+    print(
+        f"  sharded: {rec['wall_seconds']:.2f}s, "
+        f"{rec['rounds']} rounds, {rec['frames']} frames, "
+        f"{rec['cross_shard_messages']} messages, "
+        f"{rec['wire_bytes']} wire bytes"
+    )
+    print(
+        f"  identity: csv={identity['requests_csv']} "
+        f"({result['request_rows']} rows) "
+        f"events={identity['event_count']} ({rec['events']:,}) "
+        f"sketch={identity['latency_sketch']}"
+    )
 
     hybrid = None
     if not args.quick:
-        hybrid = bench_hybrid(modes)
+        hybrid = hybrid_leg()
         report["hybrid"] = hybrid
         print(
             f"{hybrid['scenario']} hybrid leg: "
@@ -319,8 +274,7 @@ def main() -> int:
             f"({hybrid['bulk_users_per_host']:,} per host) + "
             f"{hybrid['users']:,} discrete, "
             f"single {hybrid['single_wall_seconds']:.2f}s, "
-            f"{hybrid['shards']} shards {hybrid['sharded_wall_seconds']:.2f}s "
-            f"({hybrid['mode']})"
+            f"{hybrid['shards']} shards {hybrid['sharded_wall_seconds']:.2f}s"
         )
         print(
             f"  fluid: {hybrid['fluid_completed']:.0f} completed, "
@@ -359,60 +313,52 @@ def main() -> int:
             "no post-warmup requests: the identity gates compared "
             "nothing",
         )
-        legs = [(mode, result["modes"][mode]["identity"]) for mode in modes]
+        legs = [(result["scenario"], rec)]
         if hybrid is not None:
-            legs.append(("dc-8host hybrid", hybrid["identity"]))
-        for leg, identity in legs:
-            for check, ok in identity.items():
+            legs.append(("dc-8host hybrid", hybrid))
+        for leg, record in legs:
+            for check, ok in record["identity"].items():
                 gate(
                     ok,
                     f"[{leg}] {check} identical to single-process",
                     f"[{leg}] {check} differs from single-process "
                     f"reference",
                 )
-        if "sync_unit_reduction" in result:
-            reduction = result["sync_unit_reduction"]
-            if args.quick:
-                # dc-2host's only cross-host link sits at the base
-                # lookahead, so adaptive widening has nothing to cut;
-                # the reduction floor is a dc-4host (full) property.
-                print(
-                    f"SKIP: sync-reduction floor "
-                    f"({SYNC_REDUCTION_FLOOR:g}x) not gated in quick "
-                    f"mode; measured {reduction:.1f}x"
-                )
-            else:
-                gate(
-                    reduction >= SYNC_REDUCTION_FLOOR,
-                    f"sync units per window cut {reduction:.1f}x >= "
-                    f"{SYNC_REDUCTION_FLOOR:g}x (adaptive+packed vs "
-                    f"fixed+pickle)",
-                    f"sync units per window cut only {reduction:.1f}x < "
-                    f"{SYNC_REDUCTION_FLOOR:g}x",
-                )
-        floor = SPEEDUP_FLOOR["quick" if args.quick else "full"]
-        for mode in modes:
-            rec = result["modes"][mode]
-            speedup = (
-                result["single_process"]["wall_seconds"]
-                / rec["wall_seconds"]
+            geo = record["geometry"]
+            gate(
+                geo["windows"] == [geo["expected_rounds"]],
+                f"[{leg}] every group ran {geo['expected_rounds']} "
+                f"rounds = ceil(duration / window)",
+                f"[{leg}] group round counts {geo['windows']} != "
+                f"ceil(duration / window) = {geo['expected_rounds']}",
             )
-            rec["speedup"] = speedup
-            if cpu_count >= result["shards"]:
-                gate(
-                    speedup >= floor,
-                    f"[{mode}] speedup {speedup:.2f}x >= {floor:g}x "
-                    f"({result['shards']} workers on {cpu_count} cores)",
-                    f"[{mode}] speedup {speedup:.2f}x < {floor:g}x "
-                    f"({result['shards']} workers on {cpu_count} cores)",
-                )
-            else:
-                print(
-                    f"SKIP: wall-clock gate skipped (cores < shards) — "
-                    f"{cpu_count} core(s) < {result['shards']} workers; "
-                    f"floor {floor:g}x, measured {speedup:.2f}x "
-                    f"({mode})"
-                )
+            gate(
+                geo["frames"] == geo["expected_frames"],
+                f"[{leg}] {geo['frames']} frames = rounds x "
+                f"{geo['cross_group_links']} cross-group links",
+                f"[{leg}] {geo['frames']} frames != rounds x "
+                f"{geo['cross_group_links']} cross-group links = "
+                f"{geo['expected_frames']}",
+            )
+        floor = SPEEDUP_FLOOR["quick" if args.quick else "full"]
+        speedup = (
+            result["single_process"]["wall_seconds"] / rec["wall_seconds"]
+        )
+        rec["speedup"] = speedup
+        if cpu_count >= result["shards"]:
+            gate(
+                speedup >= floor,
+                f"speedup {speedup:.2f}x >= {floor:g}x "
+                f"({result['shards']} workers on {cpu_count} cores)",
+                f"speedup {speedup:.2f}x < {floor:g}x "
+                f"({result['shards']} workers on {cpu_count} cores)",
+            )
+        else:
+            print(
+                f"SKIP: wall-clock gate skipped (cores < shards) — "
+                f"{cpu_count} core(s) < {result['shards']} workers; "
+                f"floor {floor:g}x, measured {speedup:.2f}x"
+            )
         # Re-write the JSON so the speedup fields land in it too.
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2)

@@ -143,21 +143,6 @@ class RackTopology:
             raise ValueError("no host pairs: nothing to bound")
         return min(self.lookahead(src, dst) for src, dst in pairs)
 
-    def link_lookaheads(
-        self, pairs: Sequence[Tuple[str, str]]
-    ) -> Dict[Tuple[str, str], float]:
-        """Per-link lookaheads for a set of directed host pairs.
-
-        The adaptive safe-window protocol promises on each link from
-        *its own* lookahead rather than the global minimum — a spine
-        link two windows wide lets its receiver run twice as far per
-        exchange (:mod:`repro.sim.sharded`).
-        """
-        return {
-            (src, dst): self.lookahead(src, dst)
-            for src, dst in dict.fromkeys(pairs)
-        }
-
 
 def rack_aware_placement(
     tiers: Sequence[str], topology: RackTopology

@@ -23,11 +23,10 @@ identical to the reference in every mode, so request CSVs and event
 counts match byte for byte (``tests/test_determinism.py``) while the
 wall clock drops with the core count (``benchmarks/bench_shard.py``).
 
-By default workers exchange **adaptive** windows over the **packed**
-frame transport (struct rows + per-link string interning instead of
-per-message pickling); ``adaptive=False`` / ``packed=False`` select
-the fixed-window protocol and the PR-9 pickle wire — all four
-combinations are byte-identical to the reference.
+Workers exchange one frame per cross-group link per lock-step window,
+pickled onto the pipe by :class:`~repro.sim.sharded.PipeTransport` —
+one protocol and one wire, so a sharded run's round count is
+``ceil(duration / window)``.
 
 Scenarios may carry a :class:`ShardBulk`: every shard worker then
 hosts a per-host million-user fluid bulk
@@ -71,7 +70,7 @@ from ..sim.sharded import (
     EventCounter,
     FrameChannel,
     LocalChannel,
-    PackedConnection,
+    PipeTransport,
     ShardRunner,
     ShardWindow,
     SpinReceive,
@@ -651,7 +650,7 @@ class ShardResult:
     fluid: Optional[Dict[str, float]] = None
     #: Frames this shard's group put on the wire (0 when unsharded).
     frames: int = 0
-    #: Packed-transport bytes the group sent (0 on the pickle wire).
+    #: Pickled frame bytes the group sent (0 when unsharded).
     wire_bytes: int = 0
 
 
@@ -666,9 +665,6 @@ class DatacenterRun:
     #: Client-side requests from the front shard, completion order.
     completed: List[Request]
     failed: List[Request]
-    #: Synchronization mode the run used (recorded for benchmarks).
-    adaptive: bool = True
-    packed: bool = True
     #: Shard indices each worker ran, one tuple per worker (a single
     #: group of every shard when unsharded).
     groups: Tuple[Tuple[int, ...], ...] = ()
@@ -685,7 +681,8 @@ class DatacenterRun:
 
     @property
     def wire_bytes(self) -> int:
-        """Total packed-transport bytes sent (0 on the pickle wire)."""
+        """Total pickled frame bytes sent across all cross-group links
+        (0 when unsharded)."""
         return sum(result.wire_bytes for result in self.shard_results)
 
     @property
@@ -829,8 +826,6 @@ def _run_single(
         shard_results=results,
         completed=list(front.app.completed),
         failed=list(front.app.failed),
-        adaptive=False,
-        packed=False,
         groups=(tuple(range(len(scenario.shards))),),
     )
 
@@ -843,8 +838,6 @@ def _worker_main(
     in_conns: Dict[int, Any],
     result_conn: Any,
     window_stride: int,
-    adaptive: bool,
-    packed: bool,
     spin: float,
     unused: List[Any],
 ) -> None:
@@ -907,8 +900,8 @@ def _worker_main(
                 )
             )
 
-        def transport(conn: Any) -> Any:
-            wire = PackedConnection(conn) if packed else conn
+        def inbound(conn: Any) -> Any:
+            wire = PipeTransport(conn)
             return SpinReceive(wire, spin) if spin else wire
 
         out_cids = sorted(cross_out)
@@ -919,21 +912,14 @@ def _worker_main(
             duration=scenario.base.duration,
             window=window,
             outgoing=[
-                (transport(out_conns[cid]), cross_out[cid])
+                (PipeTransport(out_conns[cid]), cross_out[cid])
                 for cid in out_cids
             ],
             incoming=[
-                (transport(in_conns[cid]), cross_in[cid])
-                for cid in in_cids
+                (inbound(in_conns[cid]), cross_in[cid]) for cid in in_cids
             ],
             on_window=on_window,
             window_stride=window_stride,
-            adaptive=adaptive,
-            packed=packed,
-            # A channel's reverse (same host pair, opposite direction)
-            # is cid ^ 1; it crosses the same group boundary, so it is
-            # always present on the incoming side.
-            reverse=[in_rank.get(cid ^ 1) for cid in out_cids],
         )
         with _population_frozen():
             runner.run()
@@ -989,8 +975,6 @@ def run_datacenter(
     progress: Optional[Callable[[ShardWindow], None]] = None,
     bus: Any = None,
     window_stride: Optional[int] = None,
-    adaptive: bool = True,
-    packed: bool = True,
 ) -> DatacenterRun:
     """Execute a datacenter scenario.
 
@@ -998,10 +982,9 @@ def run_datacenter(
     ``shards=K`` for ``2 <= K <= n`` runs ``K`` worker processes over
     the shard groups :func:`_partition` picks — balanced by traffic
     weight, cut at the widest links, not necessarily contiguous
-    (``K = n``, the default, is one worker per host).  ``adaptive``
-    selects promise-driven windows, ``packed`` the struct-packed frame
-    transport; every combination is byte-identical to the reference.
-    ``progress`` and/or ``bus`` receive
+    (``K = n``, the default, is one worker per host), exchanging
+    pickled frames in lock-step windows — byte-identical to the
+    reference.  ``progress`` and/or ``bus`` receive
     :class:`~repro.sim.sharded.ShardWindow` reports — the bus on topic
     ``"shard.window"`` — throttled to roughly one per group per
     simulated second (override with ``window_stride``).  A worker that
@@ -1068,8 +1051,6 @@ def run_datacenter(
                 in_conns,
                 child_conn,
                 stride,
-                adaptive,
-                packed,
                 spin,
                 [conn for conn in every_end if conn not in mine],
             ),
@@ -1118,8 +1099,6 @@ def run_datacenter(
         shard_results=results,
         completed=completed,
         failed=failed,
-        adaptive=adaptive,
-        packed=packed,
         groups=tuple(tuple(members) for members in groups),
     )
 

@@ -774,9 +774,9 @@ class Simulator:
 
         Precondition: the wheel is empty (``_timed_count == 0``) and
         ``_spill`` is not.  Rotation is only ever performed on a pop
-        path immediately followed by consuming the new head — never on
-        a peek — so no insert can observe a window that starts after
-        ``now``'s bucket.
+        path immediately followed by consuming the new head, so no
+        insert can observe a window that starts after ``now``'s
+        bucket.
         """
         bucket = self._buckets[self._active_idx]
         if bucket:
@@ -833,25 +833,6 @@ class Simulator:
             if not self._spill:
                 return None
             self._rotate_to_spill()
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none.
-
-        Urgent events are always due at the current time.  Peeking may
-        normalize the wheel cursor (sorting the next bucket) but never
-        rotates the window — rotation is reserved for pop paths.
-        """
-        if self._imm:
-            return self._now
-        if self._timed_count:
-            bucket = self._buckets[self._active_idx]
-            if self._active_pos >= len(bucket):
-                self._normalize_wheel()
-                bucket = self._buckets[self._active_idx]
-            return bucket[self._active_pos][0]
-        if self._spill:
-            return self._spill[0][0]
-        return _INF
 
     def step(self) -> None:
         """Process the single next event.

@@ -7,10 +7,8 @@ sharded, or side by side in one simulator when not — and cross-host
 RPCs travel as timestamped event messages over per-link ordered
 channels.
 
-Two synchronization modes share one runner (DESIGN.md §12, proof
-sketches there):
-
-**Fixed windows** (the PR-9 protocol, still the reference):
+One protocol, lock-step safe windows (DESIGN.md §12, proof sketch
+there):
 
 * Every cross-shard link guarantees a *lookahead* ``L``: a message
   sent at time ``s`` delivers no earlier than ``s + L`` (serialization
@@ -26,41 +24,18 @@ sketches there):
   boundary (an empty frame doubles as the null message) therefore
   injects every remote event before the window that must dispatch it.
 
-**Adaptive windows** (``adaptive=True``): instead of one global width,
-every frame header carries a per-link *promise* — a strict lower bound
-on the delivery time of every message in any *future* frame on that
-link.  A shard's safe horizon is the minimum promise over its live
-inbound links; it widens its next window to the largest integer
-multiple of the base width ``W`` below that horizon (capped at the
-horizon itself — promises are strict, so running *to* the bound is
-safe).  Promises are renegotiated in every header from the sender's
-clock, its next pending local event (``Simulator.peek``) and its own
-inbound horizon, so all shards agree on the schedule deterministically,
-without wall-clock input.  Senders additionally declare ``skip`` — how
-many lock-step rounds they will stay silent on a link — which thins
-the exchange on wide links; termination is a final-flag handshake
-(a shard that reached the duration promises ``+inf`` and marks the
-link closed; the peer stops receiving on it).
+Within one link, delivery timestamps are non-decreasing (the link's
+serialization horizon is monotone), so per-link frames are ordered;
+across links, received events are sorted by ``(delivery time, link
+rank, intra-frame index)`` before injection.  Exchange is symmetric —
+every shard sends on all its outgoing links, then receives on all its
+incoming links, once per window — so the blocking reads cannot
+deadlock as long as frames stay smaller than the pipe buffer.
 
-In both modes: within one link, delivery timestamps are
-non-decreasing (the link's serialization horizon is monotone), so
-per-link frames are ordered; across links, received events are sorted
-by ``(delivery time, link rank, intra-frame index)`` before injection.
-Exchange is symmetric — every shard sends on all its due outgoing
-links, then receives on all its due incoming links, once per round —
-so the blocking reads cannot deadlock as long as frames stay smaller
-than the pipe buffer.
-
-**Wire formats** — a transport is anything with ``send(obj)`` /
-``recv()`` (a multiprocessing ``Connection``, a queue shim in tests):
-
-* pickle wire, fixed mode: the bare frame list (PR-9 compatible);
-* pickle wire, adaptive mode: ``(promise, clock, flags, skip, frame)``;
-* packed wire (``packed=True``): one :class:`FrameCodec` byte buffer
-  per frame — a struct-packed header plus per-message rows with all
-  repeated strings (page names, demand-key shapes, tier names)
-  interned per link, so the ``Connection`` hot path serializes one
-  ``bytes`` object per window instead of pickling every RPC tuple.
+**Wire** — a frame is the list of ``(delivery_time, payload)`` pairs
+one link buffered in one window.  :class:`PipeTransport` pickles it
+into one blob per frame and counts the bytes; tests substitute any
+object with ``send(frame)`` / ``recv()``.
 
 **Receive policy** — when every worker has a core of its own, the
 datacenter runner wraps each inbound transport in :class:`SpinReceive`
@@ -74,10 +49,8 @@ import gc
 import os
 import pickle
 import select
-import struct
 from dataclasses import dataclass
 from functools import partial
-from math import inf
 from time import perf_counter
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -86,9 +59,8 @@ from .core import Simulator
 __all__ = [
     "EventCounter",
     "FrameChannel",
-    "FrameCodec",
     "LocalChannel",
-    "PackedConnection",
+    "PipeTransport",
     "ShardRunner",
     "ShardWindow",
     "SpinReceive",
@@ -198,283 +170,37 @@ class FrameChannel:
         self._handler(payload)
 
 
-# -- packed frame transport -------------------------------------------------
-
-#: Header: promise, clock (doubles), flags (u8), skip (u16), messages (u32).
-_HEADER = struct.Struct("<ddBHI")
-_STR_COUNT = struct.Struct("<H")
-_CALL = struct.Struct("<BdqqdHHB")  # kind t call_id rid weight page shape n
-_REPLY_HEAD = struct.Struct("<BdqB")  # kind t call_id n_tiers
-_TIER_HEAD = struct.Struct("<HI")  # tier_id n_spans
-_ERR = struct.Struct("<BdqH")  # kind t call_id tier_id
-_RAW_HEAD = struct.Struct("<BdI")  # kind t length
-
-FLAG_FINAL = 0x01
-
-_KIND_RAW = 0
-_KIND_CALL = 1
-_KIND_REPLY = 2
-_KIND_ERR = 3
-
-#: Demand-key shapes are interned as one string (keys joined by US).
-_SHAPE_SEP = "\x1f"
-
-#: Interned-string ids are u16; past that a message falls back to raw.
-_MAX_INTERN = 0xFFFF
+# -- the wire ---------------------------------------------------------------
 
 
-class FrameCodec:
-    """Stateful per-link frame codec: struct rows + string interning.
+class PipeTransport:
+    """One end of a cross-group link over a multiprocessing ``Connection``.
 
-    One encoder instance lives on the sending end of a link, one
-    decoder instance on the receiving end; both build the same
-    append-only string table (page names, demand-key shapes, tier
-    names) because every frame's *new strings* section is decoded in
-    order before its message rows.  Message payloads are the exact
-    tuples :mod:`repro.ntier.remote` exchanges — recognized
-    structurally, everything else round-trips through a pickle row, so
-    the codec stays payload-agnostic for tests and future frame kinds.
-
-    Floats travel as IEEE doubles and ints as int64, so decoded
-    payloads are *equal* to the originals — the byte-identity
-    determinism contract does not care which wire carried the frame.
+    Frames are pickled into one ``send_bytes`` blob — what
+    ``Connection.send`` does internally — so the transport can count
+    the bytes it puts on the wire.  Pickle round-trips floats and ints
+    exactly, so the frames the peer decodes are *equal* to the ones
+    sent.
     """
 
-    def __init__(self) -> None:
-        self._ids: dict = {}
-        self._strings: List[str] = []
-        self.frames = 0
-        self.messages = 0
-        self.bytes = 0
-
-    # -- encoding ------------------------------------------------------
-
-    def _intern(self, text: str, fresh: List[str]) -> Optional[int]:
-        ident = self._ids.get(text)
-        if ident is None:
-            ident = len(self._ids)
-            if ident > _MAX_INTERN:
-                return None
-            self._ids[text] = ident
-            fresh.append(text)
-        return ident
-
-    def _pack_message(
-        self, time: float, payload: Any, fresh: List[str]
-    ) -> bytes:
-        if type(payload) is tuple:
-            n = len(payload)
-            if n == 5:
-                call_id, rid, page, demands, weight = payload
-                if (
-                    type(call_id) is int
-                    and type(rid) is int
-                    and type(page) is str
-                    and type(demands) is dict
-                    and type(weight) is float
-                    and all(type(v) is float for v in demands.values())
-                ):
-                    keys = list(demands.keys())
-                    page_id = self._intern(page, fresh)
-                    shape_id = self._intern(_SHAPE_SEP.join(keys), fresh)
-                    if (
-                        page_id is not None
-                        and shape_id is not None
-                        and len(keys) <= 0xFF
-                    ):
-                        return _CALL.pack(
-                            _KIND_CALL,
-                            time,
-                            call_id,
-                            rid,
-                            weight,
-                            page_id,
-                            shape_id,
-                            len(keys),
-                        ) + struct.pack(
-                            f"<{len(keys)}d", *demands.values()
-                        )
-            elif n == 3:
-                call_id, ok, body = payload
-                if type(call_id) is int:
-                    if ok is True and type(body) is list:
-                        packed = self._pack_reply(
-                            time, call_id, body, fresh
-                        )
-                        if packed is not None:
-                            return packed
-                    elif ok is False and type(body) is str:
-                        tier_id = self._intern(body, fresh)
-                        if tier_id is not None:
-                            return _ERR.pack(
-                                _KIND_ERR, time, call_id, tier_id
-                            )
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return _RAW_HEAD.pack(_KIND_RAW, time, len(blob)) + blob
-
-    def _pack_reply(
-        self,
-        time: float,
-        call_id: int,
-        body: List,
-        fresh: List[str],
-    ) -> Optional[bytes]:
-        if len(body) > 0xFF:
-            return None
-        parts = [_REPLY_HEAD.pack(_KIND_REPLY, time, call_id, len(body))]
-        for entry in body:
-            if type(entry) is not tuple or len(entry) != 2:
-                return None
-            tier, spans = entry
-            if type(tier) is not str or type(spans) is not list:
-                return None
-            flat: List[float] = []
-            for span in spans:
-                if (
-                    type(span) is not tuple
-                    or len(span) != 2
-                    or type(span[0]) is not float
-                    or type(span[1]) is not float
-                ):
-                    return None
-                flat.append(span[0])
-                flat.append(span[1])
-            tier_id = self._intern(tier, fresh)
-            if tier_id is None:
-                return None
-            parts.append(_TIER_HEAD.pack(tier_id, len(spans)))
-            if flat:
-                parts.append(struct.pack(f"<{len(flat)}d", *flat))
-        return b"".join(parts)
-
-    def encode(
-        self,
-        promise: float,
-        clock: float,
-        flags: int,
-        skip: int,
-        frame: Sequence[Tuple[float, Any]],
-    ) -> bytes:
-        """Pack one frame (header + interned strings + message rows)."""
-        fresh: List[str] = []
-        rows = [
-            self._pack_message(time, payload, fresh)
-            for time, payload in frame
-        ]
-        strings = [_STR_COUNT.pack(len(fresh))]
-        for text in fresh:
-            raw = text.encode("utf-8")
-            strings.append(_STR_COUNT.pack(len(raw)))
-            strings.append(raw)
-        buf = b"".join(
-            [_HEADER.pack(promise, clock, flags, skip, len(frame))]
-            + strings
-            + rows
-        )
-        self.frames += 1
-        self.messages += len(frame)
-        self.bytes += len(buf)
-        return buf
-
-    # -- decoding ------------------------------------------------------
-
-    def decode(
-        self, buf: bytes
-    ) -> Tuple[float, float, int, int, List[Tuple[float, Any]]]:
-        """Unpack one frame; returns ``(promise, clock, flags, skip,
-        [(delivery_time, payload), ...])`` with payloads equal to the
-        originals."""
-        promise, clock, flags, skip, count = _HEADER.unpack_from(buf, 0)
-        pos = _HEADER.size
-        (n_fresh,) = _STR_COUNT.unpack_from(buf, pos)
-        pos += _STR_COUNT.size
-        strings = self._strings
-        for _ in range(n_fresh):
-            (length,) = _STR_COUNT.unpack_from(buf, pos)
-            pos += _STR_COUNT.size
-            strings.append(buf[pos : pos + length].decode("utf-8"))
-            pos += length
-        entries: List[Tuple[float, Any]] = []
-        for _ in range(count):
-            kind = buf[pos]
-            if kind == _KIND_CALL:
-                (
-                    _,
-                    time,
-                    call_id,
-                    rid,
-                    weight,
-                    page_id,
-                    shape_id,
-                    n_keys,
-                ) = _CALL.unpack_from(buf, pos)
-                pos += _CALL.size
-                values = struct.unpack_from(f"<{n_keys}d", buf, pos)
-                pos += 8 * n_keys
-                shape = strings[shape_id]
-                keys = shape.split(_SHAPE_SEP) if shape else []
-                payload: Any = (
-                    call_id,
-                    rid,
-                    strings[page_id],
-                    dict(zip(keys, values)),
-                    weight,
-                )
-            elif kind == _KIND_REPLY:
-                _, time, call_id, n_tiers = _REPLY_HEAD.unpack_from(
-                    buf, pos
-                )
-                pos += _REPLY_HEAD.size
-                body: List[Tuple[str, List[Tuple[float, float]]]] = []
-                for _ in range(n_tiers):
-                    tier_id, n_spans = _TIER_HEAD.unpack_from(buf, pos)
-                    pos += _TIER_HEAD.size
-                    flat = struct.unpack_from(f"<{2 * n_spans}d", buf, pos)
-                    pos += 16 * n_spans
-                    body.append(
-                        (
-                            strings[tier_id],
-                            [
-                                (flat[i], flat[i + 1])
-                                for i in range(0, len(flat), 2)
-                            ],
-                        )
-                    )
-                payload = (call_id, True, body)
-            elif kind == _KIND_ERR:
-                _, time, call_id, tier_id = _ERR.unpack_from(buf, pos)
-                pos += _ERR.size
-                payload = (call_id, False, strings[tier_id])
-            else:
-                _, time, length = _RAW_HEAD.unpack_from(buf, pos)
-                pos += _RAW_HEAD.size
-                payload = pickle.loads(buf[pos : pos + length])
-                pos += length
-            entries.append((time, payload))
-        return promise, clock, flags, skip, entries
-
-
-class PackedConnection:
-    """Adapter: a multiprocessing ``Connection`` as a bytes transport.
-
-    ``send_bytes``/``recv_bytes`` skip the pickler entirely — the
-    :class:`FrameCodec` buffer goes down the pipe as one raw blob.
-    """
-
-    __slots__ = ("conn", "_poller")
+    __slots__ = ("conn", "bytes", "_poller")
 
     def __init__(self, conn: Any):
         self.conn = conn
+        #: Pickled frame bytes this end has sent.
+        self.bytes = 0
         # A registered poll object: ~10x cheaper per check than
         # ``Connection.poll``, which builds a selector on every call.
         self._poller = select.poll()
         self._poller.register(conn.fileno(), select.POLLIN)
 
-    def send(self, buf: bytes) -> None:
-        self.conn.send_bytes(buf)
+    def send(self, frame: Any) -> None:
+        blob = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
+        self.bytes += len(blob)
+        self.conn.send_bytes(blob)
 
-    def recv(self) -> bytes:
-        return self.conn.recv_bytes()
+    def recv(self) -> Any:
+        return pickle.loads(self.conn.recv_bytes())
 
     def poll(self) -> bool:
         return bool(self._poller.poll(0))
@@ -531,36 +257,24 @@ class SpinReceive:
 
 # -- the runner -------------------------------------------------------------
 
-#: Upper bound on declared per-link silence, in lock-step rounds.
-MAX_SKIP = 4
-
 #: Exchange rounds between the window loop's generation-1 collections.
 GC_ROUNDS = 256
 
-#: Relative strictness guard on promises derived from a pending-event
-#: peek: a send *at* the peeked time plus sequential stage arithmetic
-#: can land a hair under ``peek + lookahead`` in floats, so the promise
-#: backs off by a sliver of the base window (versus float noise of
-#: ~1e-14 absolute, a 100x-plus margin at millisecond windows).
-_PEEK_GUARD = 1e-9
-
 
 class ShardRunner:
-    """One shard's lock-step exchange loop (fixed or adaptive windows).
+    """One shard's lock-step exchange loop.
 
     ``outgoing`` / ``incoming`` pair each channel with its transport
-    (any object with ``send(obj)`` / ``recv()`` — a multiprocessing
-    ``Connection`` in production, a queue shim in tests).  **Ordering
-    contract:** ``incoming`` must list channels in the same global
-    rank order on every shard and every run — the rank is the
-    cross-link tie-breaker for simultaneous deliveries.
-
-    ``adaptive=True`` switches to the promise-driven protocol described
-    in the module docstring; ``packed=True`` routes frames through a
-    per-link :class:`FrameCodec` (transports then carry ``bytes``).
-    ``reverse`` optionally maps each outgoing-link index to the
-    incoming-link index of the same host pair — required only for the
-    silence (``skip``) policy, which stays off without it.
+    (any object with ``send(frame)`` / ``recv()`` — a
+    :class:`PipeTransport` in production, a queue shim in tests).
+    **Ordering contract:** ``incoming`` must list channels in the same
+    global rank order on every shard and every run — the rank is the
+    cross-link tie-breaker for simultaneous deliveries.  The loop sends
+    one frame per outgoing link per round and runs
+    ``ceil(duration / window)`` rounds: boundaries accumulate
+    ``t += window`` (monotone rounding keeps every delivery at or past
+    its boundary), so only a ``duration`` within float noise of a
+    multiple of the window can add one sliver round.
     """
 
     def __init__(
@@ -572,10 +286,6 @@ class ShardRunner:
         incoming: Sequence[Tuple[Any, Any]],
         on_window: Optional[Callable[[int, float, int, int], None]] = None,
         window_stride: int = 1,
-        adaptive: bool = False,
-        packed: bool = False,
-        reverse: Optional[Sequence[Optional[int]]] = None,
-        max_skip: int = MAX_SKIP,
     ):
         if window <= 0:
             raise ValueError(f"window must be positive: {window}")
@@ -588,32 +298,24 @@ class ShardRunner:
         self.incoming = list(incoming)
         self.on_window = on_window
         self.window_stride = max(1, int(window_stride))
-        self.adaptive = adaptive
-        self.packed = packed
-        self.reverse = list(reverse) if reverse is not None else None
-        self.max_skip = max(0, int(max_skip))
         self.windows = 0
         self.sent = 0
         self.received = 0
-        #: Frames actually put on / taken off the wire (exchange count).
+        #: Frames put on / taken off the wire (exchange count).
         self.frames_sent = 0
         self.frames_received = 0
         #: Per-incoming-link delivered message counts (rank order).
         self.received_per_link = [0] * len(self.incoming)
         self._collect = False
-        self._encoders = (
-            [FrameCodec() for _ in self.outgoing] if packed else []
-        )
-        self._decoders = (
-            [FrameCodec() for _ in self.incoming] if packed else []
-        )
 
     @property
     def bytes_sent(self) -> int:
-        return sum(codec.bytes for codec in self._encoders)
+        """Bytes the outgoing transports put on the wire (each needs a
+        ``bytes`` counter, as :class:`PipeTransport` keeps)."""
+        return sum(transport.bytes for transport, _ in self.outgoing)
 
     def run(self) -> None:
-        """Run the window loop to ``duration``.
+        """Advance to ``duration`` in lock-step safe windows.
 
         Like :meth:`Simulator.run`, the loop holds the cyclic collector
         off and runs a generation-1 collection every
@@ -627,25 +329,18 @@ class ShardRunner:
         if self._collect:
             gc.disable()
         try:
-            if self.adaptive:
-                self._run_adaptive()
-            else:
-                self._run_fixed()
+            self._run_windows()
         finally:
             if self._collect:
                 gc.enable()
 
-    # -- fixed windows (PR-9 protocol) ---------------------------------
-
-    def _run_fixed(self) -> None:
-        """Advance to ``duration`` in lock-step safe windows."""
+    def _run_windows(self) -> None:
         sim = self.sim
         inject = sim.inject
         duration = self.duration
         width = self.window
         on_window = self.on_window
         stride = self.window_stride
-        packed = self.packed
         t = 0.0
         index = 0
         while t < duration:
@@ -655,24 +350,15 @@ class ShardRunner:
             sim.run(until=t_end)
             # Send-all, then receive-all: the symmetric exchange that
             # doubles as the null-message barrier.
-            for i, (transport, channel) in enumerate(self.outgoing):
+            for transport, channel in self.outgoing:
                 frame = channel.drain()
                 self.sent += len(frame)
                 self.frames_sent += 1
-                if packed:
-                    transport.send(
-                        self._encoders[i].encode(t_end, t_end, 0, 0, frame)
-                    )
-                else:
-                    transport.send(frame)
+                transport.send(frame)
             staged: List[Tuple[float, int, int, Any, Any]] = []
             for rank, (transport, channel) in enumerate(self.incoming):
-                wire = transport.recv()
+                frame = transport.recv()
                 self.frames_received += 1
-                if packed:
-                    _, _, _, _, frame = self._decoders[rank].decode(wire)
-                else:
-                    frame = wire
                 self.received += len(frame)
                 self.received_per_link[rank] += len(frame)
                 deliver = channel.deliver
@@ -695,181 +381,6 @@ class ShardRunner:
             ):
                 on_window(index, t, self.sent, self.received)
         self.windows = index
-
-    # -- adaptive windows ----------------------------------------------
-
-    def _safe_target(self, t: float, bound: float) -> float:
-        """Largest safe horizon: grid multiple of ``W`` capped at the
-        inbound promise bound (promises are strict, so ``bound`` itself
-        is safe) and the duration."""
-        duration = self.duration
-        if bound > duration:
-            return duration
-        width = self.window
-        # Tolerance dominates the promise guard so an exactly-one-
-        # window bound still yields k == 1; overshoot is harmless (the
-        # cap below clamps the target back to the strict bound).
-        k = int((bound - t) / width + 10.0 * _PEEK_GUARD)
-        if k < 1:
-            k = 1
-        target = t + k * width
-        if target > bound:
-            target = bound
-        return target
-
-    def _run_adaptive(self) -> None:
-        sim = self.sim
-        inject = sim.inject
-        duration = self.duration
-        width = self.window
-        on_window = self.on_window
-        stride = self.window_stride
-        packed = self.packed
-        n_out = len(self.outgoing)
-        n_in = len(self.incoming)
-        reverse = self.reverse
-        max_skip = self.max_skip
-        guard = _PEEK_GUARD * width
-
-        promise_out = [0.0] * n_out
-        next_send = [1] * n_out
-        final_sent = [False] * n_out
-        bound_in = [0.0] * n_in
-        peer_clock = [0.0] * n_in
-        next_recv = [1] * n_in
-        final_in = [False] * n_in
-        open_out = n_out
-        open_in = n_in
-
-        t = 0.0
-        rounds = 0
-        while open_out or open_in:
-            bound = inf
-            for j in range(n_in):
-                if not final_in[j] and bound_in[j] < bound:
-                    bound = bound_in[j]
-            target = self._safe_target(t, bound)
-            if target > t:
-                sim.run(until=target)
-                t = target
-            rounds += 1
-            if self._collect and rounds % GC_ROUNDS == 0:
-                gc.collect(1)
-
-            # Send phase: every open link whose schedule is due.  The
-            # promise uses the *pre-receive* inbound bound — events
-            # injected later this round deliver strictly above it.
-            for i in range(n_out):
-                if final_sent[i] or next_send[i] != rounds:
-                    continue
-                transport, channel = self.outgoing[i]
-                frame = channel.drain()
-                self.sent += len(frame)
-                self.frames_sent += 1
-                if t >= duration:
-                    # No local event below the duration can fire again
-                    # (the inbound bound exceeded the duration to get
-                    # here, and promises are monotone), so this link is
-                    # done: promise infinity and close it.
-                    final_sent[i] = True
-                    open_out -= 1
-                    self._send_frame(
-                        transport, i, inf, t, FLAG_FINAL, 0, frame
-                    )
-                    continue
-                # Earliest time any *future* send on this link can
-                # happen: the next pending local event or the first
-                # delivery a not-yet-received frame could inject
-                # (everything at or below the inbound bound is already
-                # here).  The guard keeps the promise strict even when
-                # a send fires exactly at that time — see _PEEK_GUARD.
-                s_min = sim.peek()
-                if bound < s_min:
-                    s_min = bound
-                if s_min < t:
-                    s_min = t
-                promise = s_min + channel.link.lookahead - guard
-                if promise < promise_out[i]:
-                    promise = promise_out[i]
-                else:
-                    promise_out[i] = promise
-                skip = 0
-                if max_skip and reverse is not None:
-                    rev = reverse[i]
-                    if rev is not None:
-                        # peer_clock is ~two rounds stale (sampled from
-                        # last round's frame, acted on next round) and
-                        # the peer advances up to one quantum per
-                        # round, so discount two quanta: a link at the
-                        # base lookahead never skips (skipping would
-                        # stall its receiver), a double-width link
-                        # skips every other round.
-                        skip = int((promise - peer_clock[rev]) / width) - 2
-                        if skip < 0:
-                            skip = 0
-                        elif skip > max_skip:
-                            skip = max_skip
-                next_send[i] = rounds + 1 + skip
-                self._send_frame(transport, i, promise, t, 0, skip, frame)
-
-            # Receive phase: every open link whose sender declared a
-            # frame for this round.
-            staged: List[Tuple[float, int, int, Any, Any]] = []
-            for rank in range(n_in):
-                if final_in[rank] or next_recv[rank] != rounds:
-                    continue
-                transport, channel = self.incoming[rank]
-                wire = transport.recv()
-                self.frames_received += 1
-                if packed:
-                    promise, clock, flags, skip, frame = self._decoders[
-                        rank
-                    ].decode(wire)
-                else:
-                    promise, clock, flags, skip, frame = wire
-                if promise > bound_in[rank]:
-                    bound_in[rank] = promise
-                peer_clock[rank] = clock
-                if flags & FLAG_FINAL:
-                    final_in[rank] = True
-                    open_in -= 1
-                else:
-                    next_recv[rank] = rounds + 1 + skip
-                self.received += len(frame)
-                self.received_per_link[rank] += len(frame)
-                deliver = channel.deliver
-                for idx, (time, payload) in enumerate(frame):
-                    staged.append((time, rank, idx, deliver, payload))
-            if staged:
-                if len(staged) > 1:
-                    staged.sort(key=_stage_key)
-                for time, _, _, deliver, payload in staged:
-                    inject(time, partial(deliver, payload))
-
-            if on_window is not None and (
-                rounds % stride == 0 or not (open_out or open_in)
-            ):
-                on_window(rounds, t, self.sent, self.received)
-        self.windows = rounds
-
-    def _send_frame(
-        self,
-        transport: Any,
-        index: int,
-        promise: float,
-        clock: float,
-        flags: int,
-        skip: int,
-        frame: Sequence[Tuple[float, Any]],
-    ) -> None:
-        if self.packed:
-            transport.send(
-                self._encoders[index].encode(
-                    promise, clock, flags, skip, frame
-                )
-            )
-        else:
-            transport.send((promise, clock, flags, skip, list(frame)))
 
 
 def _stage_key(entry: Tuple) -> Tuple[float, int, int]:

@@ -226,18 +226,6 @@ class TestCalendarQueueMachinery:
         assert order == sorted(delays)
         assert sim.now == max(delays)
 
-    def test_demotion_after_peek(self, sim):
-        """peek() advances the cursor to the next non-empty bucket; a
-        later insert into an earlier (empty) bucket must pull the
-        cursor back."""
-        order = []
-        sim.timeout(5.0).callbacks.append(collect(order, 5.0))
-        assert sim.peek() == 5.0
-        sim.timeout(1.0).callbacks.append(collect(order, 1.0))
-        assert sim.peek() == 1.0
-        sim.run()
-        assert order == [1.0, 5.0]
-
     def test_reschedule_after_horizon_stop(self, sim):
         """run(until=t) halts the cursor mid-wheel; scheduling earlier
         than the halted position afterwards must still dispatch in
@@ -280,20 +268,16 @@ class TestCalendarQueueMachinery:
         with pytest.raises(SimulationError):
             sim.timeout(float("nan"))
 
-    def test_peek_and_step_with_mixed_queues(self, sim):
+    def test_step_with_mixed_queues(self, sim):
         order = []
         sim.timeout(3.0).callbacks.append(collect(order, "timed"))
-        assert sim.peek() == 3.0
         sim.event().succeed().callbacks.append(collect(order, "urgent"))
-        assert sim.peek() == 0.0  # urgent is due now
-        sim.step()
+        sim.step()  # urgent is due now, ahead of the timed entry
         assert order == ["urgent"]
         assert sim.now == 0.0
-        assert sim.peek() == 3.0
         sim.step()
         assert order == ["urgent", "timed"]
         assert sim.now == 3.0
-        assert sim.peek() == float("inf")
         with pytest.raises(SimulationError):
             sim.step()
 

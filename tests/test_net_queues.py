@@ -359,20 +359,19 @@ class TestShardBoundaryProperties:
         ),
     )
     @settings(max_examples=40, deadline=None)
-    def test_adaptive_width_schedule_preserves_rto_exhaustion(
+    def test_irregular_horizons_keep_rto_exhaustion(
         self, starts, widths, offcuts
     ):
-        # The adaptive protocol advances in *integer multiples* of the
-        # base window occasionally capped at an off-grid promise bound
-        # (DESIGN.md §12).  Replay one such irregular horizon schedule
-        # against the straight run: armed RTO timers, exhaustion
-        # instants, and retry counts must be indifferent to where the
-        # widened boundaries land — including edges falling exactly on
+        # Replay an irregular run(until=) horizon schedule — rounds of
+        # k base windows, some cut short at an off-grid point inside
+        # them — against the straight run: armed RTO timers,
+        # exhaustion instants, and retry counts must be indifferent to
+        # where the horizons land, including edges falling exactly on
         # an RTO expiry (min_rto is a multiple of the base window, so
         # retry timers land on grid edges).
         window = 0.01
 
-        def outcomes(adaptive):
+        def outcomes(stepped):
             sim = Simulator()
             chain = QueueChain(
                 sim,
@@ -385,11 +384,11 @@ class TestShardBoundaryProperties:
             results = []
             for t in starts:
                 drive(sim, chain, t, results)
-            if adaptive:
+            if stepped:
                 horizon = 0.0
                 for k, cut in zip(widths, offcuts):
-                    # A widened round of k base windows, sometimes
-                    # cut short at an off-grid bound inside it.
+                    # A round of k base windows, sometimes cut short
+                    # at an off-grid point inside it.
                     horizon += k * window * (cut if cut > 0.2 else 1.0)
                     sim.run(until=horizon)
             sim.run()

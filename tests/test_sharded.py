@@ -5,10 +5,12 @@ The end-to-end byte-identity gate lives in ``test_determinism.py``
 the rack/ToR topology matrix and its lookahead arithmetic, placement
 policies, the cross-host link's synchronous delivery clock, the
 ``Simulator.inject`` boundary contract, the ``ShardRunner`` window
-loop with in-memory transports, the remote tier stub/server RPC pair,
-and the datacenter scenario's layout validation.
+loop with in-memory transports, the pickle pipe transport, the remote
+tier stub/server RPC pair, and the datacenter scenario's layout
+validation.
 """
 
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -570,87 +572,69 @@ class TestDatacenterScenarioValidation:
             )
 
 
-class TestFrameCodec:
-    """The packed wire round-trips payloads *equal* to the originals."""
+class TestPipeTransport:
+    """The one wire: pickled frames over a real pipe, bytes counted."""
 
-    HEADER = (1.25, 1.0, 0, 2)
+    CALL = (9, 1207, "StoriesOfTheDay", {"mysql": 0.0215}, 1.0)
+    REPLY = (9, True, [("mysql", [(0.5, 0.52), (0.6, 0.61)]), ("cache", [])])
+    ERROR = (10, False, "mysql")
 
-    def roundtrip(self, frame, encoder=None, decoder=None):
-        from repro.sim.sharded import FrameCodec
+    @pytest.fixture
+    def pipe(self):
+        import multiprocessing
 
-        encoder = encoder or FrameCodec()
-        decoder = decoder or FrameCodec()
-        buf = encoder.encode(*self.HEADER, frame)
-        assert isinstance(buf, bytes)
-        promise, clock, flags, skip, out = decoder.decode(buf)
-        assert (promise, clock, flags, skip) == self.HEADER
-        return out, encoder, decoder
+        from repro.sim.sharded import PipeTransport
 
-    def test_call_row_roundtrips_exactly(self):
-        frame = [
-            (
-                0.503,
-                (9, 1207, "StoriesOfTheDay", {"mysql": 0.0215}, 1.0),
-            )
-        ]
-        out, _, _ = self.roundtrip(frame)
-        assert out == frame
+        recv_end, send_end = multiprocessing.Pipe(duplex=False)
+        yield PipeTransport(send_end), PipeTransport(recv_end)
+        recv_end.close()
+        send_end.close()
 
-    def test_reply_and_error_rows_roundtrip_exactly(self):
-        spans = [("mysql", [(0.5, 0.52), (0.6, 0.61)]), ("cache", [])]
-        frame = [
-            (0.7, (9, True, spans)),
-            (0.71, (10, False, "mysql")),
-        ]
-        out, _, _ = self.roundtrip(frame)
-        assert out == frame
+    @staticmethod
+    def roundtrip(pipe, frame):
+        sender, receiver = pipe
+        sender.send(frame)
+        return receiver.recv()
 
-    def test_unrecognized_payloads_fall_back_to_pickle(self):
-        frame = [
-            (0.1, "plain-string"),
-            (0.2, {"not": "an rpc"}),
-            (0.3, (1, 2)),  # tuple of the wrong arity
-            (0.4, (9, 1, "page", {"mysql": 1}, 1.0)),  # int demand
-        ]
-        out, _, _ = self.roundtrip(frame)
-        assert out == frame
+    def test_call_frame_roundtrips_exactly(self, pipe):
+        frame = [(0.503, self.CALL)]
+        assert self.roundtrip(pipe, frame) == frame
 
-    def test_empty_frame_is_header_only(self):
-        out, encoder, _ = self.roundtrip([])
-        assert out == []
-        assert encoder.frames == 1
-        assert encoder.messages == 0
+    def test_reply_and_error_frames_roundtrip_exactly(self, pipe):
+        frame = [(0.7, self.REPLY), (0.71, self.ERROR)]
+        assert self.roundtrip(pipe, frame) == frame
 
-    def test_interning_is_stateful_across_frames(self):
-        from repro.sim.sharded import FrameCodec
-
-        encoder, decoder = FrameCodec(), FrameCodec()
-        call = (1, 1, "StoriesOfTheDay", {"mysql": 0.02}, 1.0)
-        first = encoder.encode(*self.HEADER, [(0.5, call)])
-        second = encoder.encode(*self.HEADER, [(0.6, call)])
-        # The second frame reuses the table: no string section bytes.
-        assert len(second) < len(first)
-        assert decoder.decode(first)[4] == [(0.5, call)]
-        assert decoder.decode(second)[4] == [(0.6, call)]
-
-    def test_header_flags_and_final_promise_survive(self):
-        from math import inf
-
-        from repro.sim.sharded import FLAG_FINAL, FrameCodec
-
-        buf = FrameCodec().encode(inf, 3.0, FLAG_FINAL, 0, [])
-        promise, clock, flags, skip, out = FrameCodec().decode(buf)
-        assert promise == inf
-        assert clock == 3.0
-        assert flags & FLAG_FINAL
-        assert out == []
-
-    def test_float_demand_values_are_bit_exact(self):
+    def test_float_values_are_bit_exact(self, pipe):
         value = 0.1 + 0.2  # a float with a noisy mantissa
-        frame = [(0.25, (3, 4, "p", {"a": value, "b": 1e-300}, 0.125))]
-        out, _, _ = self.roundtrip(frame)
-        assert out[0][1][3]["a"].hex() == value.hex()
-        assert out[0][1][3]["b"].hex() == (1e-300).hex()
+        frame = [(value, (3, 4, "p", {"a": value, "b": 1e-300}, 0.125))]
+        (time, call), = self.roundtrip(pipe, frame)
+        assert time.hex() == value.hex()
+        assert call[3]["a"].hex() == value.hex()
+        assert call[3]["b"].hex() == (1e-300).hex()
+
+    def test_empty_frame_roundtrips(self, pipe):
+        # FrameChannel.drain hands the runner () for a null frame.
+        assert self.roundtrip(pipe, ()) == ()
+
+    def test_bytes_count_the_pickled_frames(self, pipe):
+        import pickle
+
+        frames = [[(0.503, self.CALL)], (), [(0.7, self.REPLY)]]
+        for frame in frames:
+            self.roundtrip(pipe, frame)
+        sender, receiver = pipe
+        assert sender.bytes == sum(
+            len(pickle.dumps(f, pickle.HIGHEST_PROTOCOL)) for f in frames
+        )
+        assert receiver.bytes == 0
+
+    def test_poll_sees_a_pending_frame(self, pipe):
+        sender, receiver = pipe
+        assert not receiver.poll()
+        sender.send([(0.503, self.CALL)])
+        assert receiver.poll()
+        receiver.recv()
+        assert not receiver.poll()
 
 
 class QueueTransport:
@@ -682,8 +666,6 @@ def run_shard_pair(
     lookahead_ba,
     duration,
     window,
-    adaptive,
-    packed=False,
     spin=0,
 ):
     """Two ShardRunner threads exchanging over queue transports.
@@ -725,9 +707,6 @@ def run_shard_pair(
                 window=window,
                 outgoing=[(transport, out_ch)],
                 incoming=[(transport, in_ch)],
-                adaptive=adaptive,
-                packed=packed,
-                reverse=[0],
             )
             runner.run()
             rounds[side] = runner.windows
@@ -751,7 +730,7 @@ def expected_deliveries(sends, lookahead, duration=1.0):
 
     Deliveries stamped past ``duration`` are injected but never
     dispatched (the receiving simulator stops at the horizon), so they
-    do not appear in any mode's log.
+    do not appear in the log.
     """
     stamped = [
         (t + lookahead, i, p) for i, (t, p) in enumerate(sorted(sends))
@@ -760,80 +739,79 @@ def expected_deliveries(sends, lookahead, duration=1.0):
     return [(time, p) for time, _, p in stamped if time <= duration]
 
 
-class TestAdaptiveRunner:
-    """The promise-driven protocol delivers the fixed-width order.
+def lockstep_rounds(duration, window):
+    """Rounds the lock-step loop runs: boundaries accumulate ``t += W``
+    (monotone rounding keeps every send's delivery at or past the
+    boundary), capped at ``duration`` — ``ceil(duration / window)``
+    unless float accumulation leaves a final sliver window."""
+    t, rounds = 0.0, 0
+    while t < duration:
+        t = min(t + window, duration)
+        rounds += 1
+    return rounds
 
-    The harness pits two runner threads against each other over queue
-    transports: every (send schedule, link asymmetry) must produce the
-    identical delivery log under fixed windows, adaptive windows, and
-    the packed wire — including sends landing exactly on window
-    boundaries (where retry timers such as link-RTO expiries fire) and
-    frames straddling the widened multi-window rounds of the adaptive
-    mode.
+
+class TestLockStepExchange:
+    """Two runners over queue transports reproduce the reference order.
+
+    Every (send schedule, link asymmetry) must yield the delivery log
+    of the single-simulator reference (:func:`expected_deliveries`) —
+    including sends landing exactly on window boundaries (where retry
+    timers such as link-RTO expiries fire) and links whose lookahead
+    spans several windows.
     """
 
     W = 0.1
     DURATION = 1.0
 
-    def run_modes(self, sends_a, sends_b, la, lb):
-        fixed, _, fixed_frames = run_shard_pair(
-            sends_a, sends_b, la, lb, self.DURATION, self.W, adaptive=False
+    def run_pair(self, sends_a, sends_b, la, lb):
+        return run_shard_pair(
+            sends_a, sends_b, la, lb, self.DURATION, self.W
         )
-        adaptive, _, frames = run_shard_pair(
-            sends_a, sends_b, la, lb, self.DURATION, self.W, adaptive=True
-        )
-        packed, _, _ = run_shard_pair(
-            sends_a,
-            sends_b,
-            la,
-            lb,
-            self.DURATION,
-            self.W,
-            adaptive=True,
-            packed=True,
-        )
-        assert adaptive == fixed
-        assert packed == fixed
-        return fixed, (fixed_frames, frames)
 
     def test_symmetric_chatter_is_identical(self):
         sends_a = [(0.05 * i, f"a{i}") for i in range(18)]
         sends_b = [(0.07 * i, f"b{i}") for i in range(14)]
-        logs, _ = self.run_modes(sends_a, sends_b, self.W, self.W)
+        logs, _, _ = self.run_pair(sends_a, sends_b, self.W, self.W)
         assert logs[1] == [
             (pytest.approx(t + self.W), p) for t, p in sends_a
         ]
+        assert logs[0] == expected_deliveries(sends_b, self.W)
 
-    def test_wide_links_widen_rounds_without_reordering(self):
-        # Lookahead 5x the base window: the adaptive mode runs multi-
-        # window rounds, and frames straddle the widened boundaries.
+    def test_wide_links_run_one_round_per_window(self):
+        # Lookahead 5x the window: frames carry deliveries several
+        # windows ahead, and the round count stays fixed by the
+        # geometry — one frame per link per round.
         la = lb = 5 * self.W
         sends_a = [(0.033 * i, f"a{i}") for i in range(28)]
         sends_b = [(0.051 * i, f"b{i}") for i in range(18)]
-        logs, (fixed_frames, frames) = self.run_modes(
-            sends_a, sends_b, la, lb
-        )
+        logs, rounds, frames = self.run_pair(sends_a, sends_b, la, lb)
         assert logs[0] == expected_deliveries(sends_b, lb)
         assert logs[1] == expected_deliveries(sends_a, la)
-        # The point of widening + silence: far fewer frames on the
-        # wire than the one-per-window the fixed protocol ships.
-        assert max(fixed_frames) >= 10
-        assert max(frames) < max(fixed_frames)
+        expected = lockstep_rounds(self.DURATION, self.W)
+        assert expected in (
+            math.ceil(self.DURATION / self.W),
+            math.ceil(self.DURATION / self.W) + 1,
+        )
+        assert rounds == [expected, expected]
+        assert frames == rounds
 
     def test_window_edge_sends_are_exact(self):
         # Sends exactly at k*W — the stamp class retry timers (e.g.
         # link-RTO expiries rescheduled a whole RTO apart) produce.
         sends_a = [(k * self.W, f"edge{k}") for k in range(1, 9)]
         sends_b = [(k * self.W / 2, f"half{k}") for k in range(1, 17)]
-        logs, _ = self.run_modes(sends_a, sends_b, self.W, 2 * self.W)
+        logs, _, _ = self.run_pair(sends_a, sends_b, self.W, 2 * self.W)
         assert logs[1] == expected_deliveries(sends_a, self.W)
         assert logs[0] == expected_deliveries(sends_b, 2 * self.W)
 
     def test_silent_side_uses_null_frames(self):
         sends_a = [(0.21, "lonely")]
-        logs, _ = self.run_modes(sends_a, [], self.W, self.W)
+        logs, rounds, frames = self.run_pair(sends_a, [], self.W, self.W)
         assert logs[1] == [(pytest.approx(0.31), "lonely")]
         assert logs[0] == []
+        # The silent side still ships one (empty) frame every round.
+        assert frames[1] == rounds[1] > 0
 
     @given(
         grid_a=st.lists(
@@ -854,12 +832,12 @@ class TestAdaptiveRunner:
         lb_quarters=st.integers(min_value=4, max_value=20),
     )
     @settings(max_examples=20, deadline=None)
-    def test_property_adaptive_order_matches_fixed(
+    def test_property_order_matches_reference(
         self, grid_a, grid_b, la_quarters, lb_quarters
     ):
         """Random quarter-window grids (boundary hits included) and
-        asymmetric lookaheads: identical (time, rank, idx) injection
-        order in every mode."""
+        asymmetric lookaheads: the (time, rank, idx) injection order
+        equals the reference."""
         quarter = self.W / 4
         sends_a = [
             (k * quarter, ("a", i, k, j))
@@ -871,7 +849,7 @@ class TestAdaptiveRunner:
         ]
         la = la_quarters * quarter
         lb = lb_quarters * quarter
-        logs, _ = self.run_modes(sends_a, sends_b, la, lb)
+        logs, _, _ = self.run_pair(sends_a, sends_b, la, lb)
         assert logs[1] == expected_deliveries(sends_a, la)
         assert logs[0] == expected_deliveries(sends_b, lb)
 
@@ -884,18 +862,15 @@ class TestSpinReceive:
     def test_spin_delivers_the_blocking_frames(self):
         sends_a = [(0.033 * i, f"a{i}") for i in range(28)]
         sends_b = [(0.051 * i, f"b{i}") for i in range(18)]
-        for adaptive, packed in ((False, False), (True, False), (True, True)):
-            blocking, rounds, _ = run_shard_pair(
-                sends_a, sends_b, 2 * self.W, self.W, 1.0, self.W,
-                adaptive=adaptive, packed=packed,
-            )
-            spun, spun_rounds, _ = run_shard_pair(
-                sends_a, sends_b, 2 * self.W, self.W, 1.0, self.W,
-                adaptive=adaptive, packed=packed, spin=0.01,
-            )
-            assert spun == blocking
-            assert spun_rounds == rounds
-            assert blocking[1] == expected_deliveries(sends_a, 2 * self.W)
+        blocking, rounds, _ = run_shard_pair(
+            sends_a, sends_b, 2 * self.W, self.W, 1.0, self.W
+        )
+        spun, spun_rounds, _ = run_shard_pair(
+            sends_a, sends_b, 2 * self.W, self.W, 1.0, self.W, spin=0.01
+        )
+        assert spun == blocking
+        assert spun_rounds == rounds
+        assert blocking[1] == expected_deliveries(sends_a, 2 * self.W)
 
     def test_blocks_after_the_spin_budget(self):
         import time

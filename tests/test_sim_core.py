@@ -39,13 +39,6 @@ class TestSimulatorBasics:
         with pytest.raises(SimulationError):
             sim.step()
 
-    def test_peek_empty_is_inf(self, sim):
-        assert sim.peek() == float("inf")
-
-    def test_peek_returns_next_event_time(self, sim):
-        sim.timeout(3.0)
-        assert sim.peek() == 3.0
-
 
 class TestTimeout:
     def test_timeout_fires_at_delay(self, sim):
