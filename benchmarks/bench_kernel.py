@@ -72,16 +72,17 @@ def run_once(users: int, duration: float, tracing: bool) -> dict:
     """One measurement in the current process; returns the result dict."""
     from repro.experiments.configs import PRIVATE_CLOUD
     from repro.experiments.runner import run_rubbos
+    from repro.obs import FULL_TRACE
 
     scenario = dataclasses.replace(
         PRIVATE_CLOUD, users=users, duration=duration, warmup=0.0
     )
     t0 = time.perf_counter()
-    run = run_rubbos(scenario, tracing=tracing)
+    run = run_rubbos(scenario, telemetry=FULL_TRACE if tracing else None)
     wall = time.perf_counter() - t0
     events = None
-    if tracing and run.obs is not None:
-        events = run.obs.kernel.events_dispatched
+    if tracing:
+        events = run.telemetry.kernel.events_dispatched
     return {
         "users": users,
         "sim_seconds": duration,

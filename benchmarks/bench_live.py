@@ -7,12 +7,13 @@ gate:
   sketches, O(1) memory per window) land within 5% relative error of
   the exact post-hoc percentiles computed from every completed request
   of the same run?
-* **overhead** — does the live pipeline (windowed sketches, adaptive
-  retention, lifecycle topics) cost at most 3% over the plain traced
-  run it replaces?  Both modes stage spans for every request; the
-  telemetry run additionally feeds four sketches per completion and
-  *discards* most trace rows, so it should ride within noise of
-  ``tracing=True`` while retaining orders of magnitude fewer traces.
+* **overhead** — does the default live pipeline (budgeted 1/64 base
+  sample plus promoted tail) cost at most 3% over full tracing
+  (``telemetry=FULL_TRACE``, the same stack at stride 1)?  Both modes
+  stage spans for every request and feed the same sketches; the
+  default run *discards* most trace rows, so it should ride within
+  noise of full tracing while retaining orders of magnitude fewer
+  traces.
 * **retention** — with the base sample pinned at 1/64, does
   slow-request promotion still keep >= 99% of the requests above the
   true P99.9 as full traces?
@@ -22,7 +23,8 @@ gate:
 
 Methodology follows ``bench_kernel.py``: the overhead comparison runs
 each mode in a **fresh python process** (the script re-execs itself
-with ``--worker``) and takes the minimum over ``--repeat`` runs; the
+with ``--worker``) and takes the minimum over ``--repeat`` runs, in
+``--quick`` mode too; the
 accuracy/retention/detection sections are single deterministic runs
 (fixed seeds) where wall time does not matter.
 
@@ -53,8 +55,8 @@ RESULTS_DIR = os.path.join(
 
 #: ``--check`` gates.  Accuracy/retention hold at any scale (the sketch
 #: carries a 1% per-value guarantee); the overhead gate is tight only
-#: in full mode — quick mode runs once in-process on a possibly noisy
-#: box, so it gets a gross-regression tripwire instead.
+#: in full mode — quick runs are ~1 s each on a possibly noisy shared
+#: box, so they get a gross-regression tripwire instead.
 ACCURACY_RELATIVE_ERROR = 0.05
 RETENTION_FLOOR = 0.99
 OVERHEAD_VS_TRACED = {"full": 0.03, "quick": 0.20}
@@ -73,14 +75,14 @@ def _fig9_scenario(quick: bool):
 def run_once(mode: str, quick: bool) -> dict:
     """One timed run in the current process (overhead section)."""
     from repro.experiments.runner import run_rubbos
-    from repro.obs import TelemetryConfig
+    from repro.obs import FULL_TRACE, TelemetryConfig
 
     scenario = _fig9_scenario(quick)
     kwargs = {}
     if mode == "telemetry":
         kwargs["telemetry"] = TelemetryConfig()
     elif mode == "traced":
-        kwargs["tracing"] = True
+        kwargs["telemetry"] = FULL_TRACE
     elif mode != "plain":
         raise ValueError(f"unknown mode {mode!r}")
     t0 = time.perf_counter()
@@ -212,7 +214,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="CI smoke: 2k users x 10 sim-s, in-process overhead runs",
+        help="CI smoke: 2k users x 10 sim-s",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -263,10 +265,7 @@ def main() -> int:
 
     report["overhead"] = {}
     for mode in ("plain", "traced", "telemetry"):
-        if args.quick:
-            result = run_once(mode, True)
-        else:
-            result = measure_fresh(mode, False, args.repeat)
+        result = measure_fresh(mode, args.quick, args.repeat)
         report["overhead"][mode] = result
         print(
             f"overhead {mode:9s} {result['wall_seconds']:.3f}s wall "

@@ -103,13 +103,13 @@ def _percentiles(run) -> dict:
 def bench_neutrality(quick: bool) -> dict:
     """Fixed-seed ``network=None`` run vs the pre-network event count."""
     from repro.experiments.runner import run_rubbos
+    from repro.obs import FULL_TRACE
 
     scenario = _neutral_scenario(quick)
     t0 = time.perf_counter()
-    run = run_rubbos(scenario, tracing=True)
+    run = run_rubbos(scenario, telemetry=FULL_TRACE)
     wall = time.perf_counter() - t0
-    assert run.obs is not None
-    events = run.obs.kernel.summary()["events_dispatched"]
+    events = run.telemetry.kernel.summary()["events_dispatched"]
     return {
         "users": scenario.users,
         "sim_seconds": scenario.duration,

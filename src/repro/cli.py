@@ -358,6 +358,7 @@ def _run_trace(args) -> int:
     from .analysis.attribution import attribute_run
     from .analysis.export import write_chrome_trace, write_spans_jsonl
     from .experiments.runner import run_rubbos
+    from .obs import FULL_TRACE
 
     scenarios = _trace_scenarios()
     if args.scenario is None or args.scenario not in scenarios:
@@ -387,8 +388,11 @@ def _run_trace(args) -> int:
         f"({scenario.users} users, {scenario.duration:.0f}s)..."
     )
     started = time.time()
+    # Stride 1 is FULL_TRACE itself; a wider stride still keeps the
+    # promoted tail and every failed request.
     run = run_rubbos(
-        scenario, tracing=True, trace_sample_every=args.sample_every
+        scenario,
+        telemetry=replace(FULL_TRACE, base_sample_every=args.sample_every),
     )
     finished = run.app.completed + run.app.failed
 
@@ -404,8 +408,8 @@ def _run_trace(args) -> int:
     print()
     print(report.render())
 
-    assert run.obs is not None
-    kernel = run.obs.kernel.summary()
+    live = run.telemetry
+    kernel = live.kernel.summary()
     print(
         f"\nkernel: {kernel['events_dispatched']} events, "
         f"{kernel['processes_started']} processes, "
@@ -414,8 +418,8 @@ def _run_trace(args) -> int:
         f"per sim-second"
     )
     if args.profile:
-        _print_kernel_profile(run.obs.kernel, scenario.duration)
-    snapshot = run.obs.metrics.snapshot()
+        _print_kernel_profile(live.kernel, scenario.duration)
+    snapshot = live.metrics.snapshot()
     rt = snapshot.get("response_time")
     if rt and rt.get("count"):
         print(
@@ -992,7 +996,8 @@ def main(argv=None) -> int:
         "--sample-every",
         type=int,
         default=1,
-        help="trace every n-th request (1 = all)",
+        help="keep the span tree of every n-th finished request, plus "
+             "the slow tail and every failed request (1 = all)",
     )
     parser.add_argument(
         "--profile",

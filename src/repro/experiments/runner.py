@@ -27,7 +27,7 @@ from ..core.programs import (
 from ..net import TierNetwork
 from ..monitoring.oprofile import LLCMissProfiler
 from ..monitoring.sampler import PeriodicSampler, UtilizationMonitor
-from ..obs import LiveTelemetry, Observability, TelemetryConfig
+from ..obs import LiveTelemetry, TelemetryConfig
 from ..ntier.request import Request
 from ..ntier.client import UserPopulation
 from ..sim.core import Simulator
@@ -125,8 +125,6 @@ class RubbosRun:
     util_monitors: Dict[str, UtilizationMonitor]
     queue_sampler: PeriodicSampler
     llc_profiler: Optional[LLCMissProfiler]
-    #: Present only when the run was started with ``tracing=True``.
-    obs: Optional[Observability] = None
     #: Present only when the run was started with ``telemetry=...``.
     telemetry: Optional[LiveTelemetry] = None
     #: Present only in hybrid fluid/DES runs with a non-empty bulk.
@@ -155,33 +153,19 @@ def run_rubbos(
     scenario: RubbosScenario,
     collect_llc: bool = False,
     feedback_goals=None,
-    tracing: bool = False,
-    trace_sample_every: int = 1,
-    trace_columnar: bool = True,
     telemetry: Optional[TelemetryConfig] = None,
     hybrid: Optional[HybridConfig] = None,
 ) -> RubbosRun:
     """Build and execute one closed-loop RUBBoS scenario.
 
-    ``tracing=True`` attaches a full observability stack
-    (:class:`repro.obs.Observability`): per-request span trees, the
-    metrics registry, and kernel self-profiling.  Tracing is purely
-    observational — it schedules no events — so a traced run produces
-    identical measurements to an untraced one at the same seed.
-    ``trace_sample_every`` traces every n-th request to bound memory on
-    very long runs; ``trace_columnar=False`` swaps the columnar span
-    store for per-span :class:`repro.obs.span.Trace` objects (same
-    output, used by the determinism tests).
-
     ``telemetry=TelemetryConfig(...)`` (or ``True`` for defaults)
-    attaches the *live* stack instead (:class:`repro.obs.LiveTelemetry`):
-    streaming windowed quantile sketches, the adaptive tracer with
-    slow-request promotion, and — when the config carries an SLO — the
-    tail-SLO detector publishing ``slo.violation`` /
-    ``millibottleneck.onset`` bus topics.  Like tracing, telemetry is
-    passive (no events, no RNG), so results are byte-identical with it
-    on or off.  ``tracing`` and ``telemetry`` are mutually exclusive —
-    both want to own ``app.tracer``.
+    attaches the observability stack (:class:`repro.obs.LiveTelemetry`,
+    returned as ``run.telemetry``): span trees kept by the adaptive
+    tracer, metrics, kernel self-profiling, windowed quantile sketches
+    and, with an SLO set, the tail-SLO detector's bus topics.
+    ``telemetry=FULL_TRACE`` keeps every finished request's span tree.
+    Telemetry schedules no events and draws no RNG, so results are
+    byte-identical with it on or off at the same seed.
 
     ``hybrid=HybridConfig(...)`` (or the scenario's own ``hybrid``
     field; the argument wins) runs the scenario in hybrid fluid/DES
@@ -193,11 +177,6 @@ def run_rubbos(
     the run takes the exact full-DES code path — byte-identical
     results, no RNG-stream perturbation.
     """
-    if telemetry is not None and tracing:
-        raise ValueError(
-            "tracing and telemetry are mutually exclusive; "
-            "the live telemetry stack already traces adaptively"
-        )
     if telemetry is True:
         telemetry = TelemetryConfig()
     if hybrid is None:
@@ -215,28 +194,17 @@ def run_rubbos(
             vcpus=scenario.tier_vcpus,
         ),
     )
-    obs = None
     live = None
-    if tracing:
-        obs = Observability(
-            sample_every=trace_sample_every, columnar=trace_columnar
-        )
-        obs.attach(sim, deployment.app)
-    elif telemetry is not None:
+    if telemetry is not None:
         live = LiveTelemetry(telemetry)
         live.attach(sim, deployment.app)
     net = None
     if scenario.network is not None:
-        bus = None
-        if obs is not None:
-            bus = obs.bus
-        elif live is not None:
-            bus = live.bus
         net = TierNetwork(
             sim,
             scenario.network,
             tuple(tier.name for tier in deployment.app.tiers),
-            bus=bus,
+            bus=live.bus if live is not None else None,
         )
         net.attach(deployment.app)
     workload = RubbosWorkload(rng=streams.get("workload"))
@@ -401,7 +369,6 @@ def run_rubbos(
         util_monitors=util_monitors,
         queue_sampler=queue_sampler,
         llc_profiler=llc_profiler,
-        obs=obs,
         telemetry=live,
         fluid=fluid,
         network=net,

@@ -45,7 +45,7 @@ class NTierApplication:
         #: Request tracer consulted by ``fetch`` for every entry point
         #: (closed-loop users, open-loop generators, probers).  The
         #: null singleton is the zero-overhead default; swap in a
-        #: recording :class:`repro.obs.Tracer` to capture span trees.
+        #: recording :class:`repro.obs.AdaptiveTracer` to capture span trees.
         self.tracer = NULL_TRACER
 
     @property

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs.span import Trace
+    from ..obs.columnar import ColumnarTrace
 
 __all__ = ["Request"]
 
@@ -49,7 +49,7 @@ class Request:
     weight: float = 1.0
     #: Span tree, present only when a recording tracer adopted this
     #: request (``repro.obs``); ``None`` is the disabled fast path.
-    trace: Optional["Trace"] = field(
+    trace: Optional["ColumnarTrace"] = field(
         default=None, repr=False, compare=False
     )
 

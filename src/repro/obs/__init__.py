@@ -2,11 +2,12 @@
 
 The subsystem has three legs (see DESIGN.md "Observability"):
 
-* **Span tracing** (:mod:`repro.obs.span`, :mod:`repro.obs.tracer`) —
-  each client request optionally carries a typed span tree recording
-  where its latency accrued: TCP retransmission waits, per-tier queue
-  waits, processor-sharing service slices (with effective-speed
-  annotations), and inter-tier network hops.
+* **Span tracing** (:mod:`repro.obs.span`, :mod:`repro.obs.columnar`,
+  :mod:`repro.obs.streaming`) — each client request optionally carries
+  a typed span tree recording where its latency accrued: TCP
+  retransmission waits, per-tier queue waits, processor-sharing service
+  slices (with effective-speed annotations), and inter-tier network
+  hops.
 * **Metrics + event bus** (:mod:`repro.obs.metrics`,
   :mod:`repro.obs.bus`) — counters/gauges/streaming percentile
   sketches plus a pub/sub fabric for request lifecycle events.
@@ -14,23 +15,22 @@ The subsystem has three legs (see DESIGN.md "Observability"):
   — events dispatched, heap depth, wall-time per sim-second via the
   simulator's hook slot.
 
-:class:`Observability` bundles all three and wires them into a run;
-``repro.experiments.runner.run_rubbos(..., tracing=True)`` uses it, and
-``python -m repro trace <scenario>`` exposes it from the shell.
-Everything is off by default and adds only null-check overhead when
-disabled.
+:class:`LiveTelemetry` bundles all three with the streaming tail
+pipeline; ``run_rubbos(..., telemetry=config)`` wires it into a run.
+Full tracing is the same stack at :data:`FULL_TRACE`, which ``python
+-m repro trace <scenario>`` exposes from the shell.  Everything is off
+by default and adds only null-check overhead when disabled.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from .bus import EventBus, KernelProfiler
 from .columnar import SPAN_DTYPE, ColumnarTrace, SpanStore
 from .metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
 from .sketch import LogHistogram, P2Quantile
-from .span import LEAF_KINDS, SPAN_KINDS, Span, Trace
+from .span import LEAF_KINDS, SPAN_KINDS, Span
 from .streaming import (
+    FULL_TRACE,
     AdaptiveTracer,
     LiveTelemetry,
     TailSloDetector,
@@ -38,13 +38,14 @@ from .streaming import (
     TelemetryPipeline,
     WindowReport,
 )
-from .tracer import NULL_TRACER, NullTracer, Tracer
+from .tracer import NULL_TRACER, NullTracer
 
 __all__ = [
     "AdaptiveTracer",
     "ColumnarTrace",
     "Counter",
     "EventBus",
+    "FULL_TRACE",
     "Gauge",
     "KernelProfiler",
     "LEAF_KINDS",
@@ -53,7 +54,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "Observability",
     "P2Quantile",
     "SPAN_DTYPE",
     "SPAN_KINDS",
@@ -63,44 +63,5 @@ __all__ = [
     "TailSloDetector",
     "TelemetryConfig",
     "TelemetryPipeline",
-    "Trace",
-    "Tracer",
     "WindowReport",
 ]
-
-
-class Observability:
-    """One tracer + metrics registry + kernel profiler, wired together."""
-
-    def __init__(
-        self,
-        sample_every: int = 1,
-        kernel_sample_every: int = 1024,
-        columnar: bool = True,
-    ):
-        self.bus = EventBus()
-        self.metrics = MetricsRegistry()
-        self.tracer = Tracer(
-            sample_every=sample_every,
-            metrics=self.metrics,
-            bus=self.bus,
-            columnar=columnar,
-        )
-        self.kernel = KernelProfiler(
-            sample_every=kernel_sample_every, metrics=self.metrics
-        )
-
-    def attach(self, sim, app=None) -> "Observability":
-        """Hook the kernel profiler into ``sim`` and adopt ``app``."""
-        sim.attach_hooks(self.kernel)
-        if app is not None:
-            app.tracer = self.tracer
-        return self
-
-    def report(self) -> dict:
-        """Kernel summary plus the full metrics snapshot."""
-        return {
-            "kernel": self.kernel.summary(),
-            "metrics": self.metrics.snapshot(),
-            "traces": len(self.tracer.traces),
-        }

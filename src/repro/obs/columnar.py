@@ -1,6 +1,6 @@
 """Columnar span storage: staged rows instead of per-span objects.
 
-At population scale the object tracer dominates traced-run cost: a 60 s
+At population scale per-span objects dominate traced-run cost: a 60 s
 run of 10k users creates ~1M :class:`~repro.obs.span.Span` objects plus
 a children list each, and the allocation/GC traffic roughly doubles the
 wall time of the whole simulation.  This module stores every span of a
@@ -27,25 +27,26 @@ Design notes:
   globalized parent indexes and the owning request id) on demand, in
   bulk.  Python floats are the source of truth — materialized trees
   carry the exact values the instrumentation recorded, so JSONL export
-  is byte-identical to the object tracer's.
+  is byte-identical to a per-span object tree's.
 * **Row order is pre-order.**  Every span row is appended after its
   parent's row and after all rows of earlier siblings' subtrees, so a
   trace's row sequence is exactly the pre-order walk of its finished
   tree (the first row is always the root).
   :meth:`ColumnarTrace.leaf_durations` exploits this to fold leaf
   durations straight off the rows — same keys, same insertion order,
-  same sums as ``Trace.leaf_durations`` — without building a single
-  ``Span``.
+  same sums as a pre-order walk of the materialized tree — without
+  building a single ``Span``.
 * **Open spans have ``end is None``** (``NaN`` in the packed array).
   A truncated trace (simulation horizon hit mid-request) materializes
-  with its open spans' ``end`` set to ``None``, exactly like the
-  object tracer would leave them.
+  with its open spans' ``end`` set to ``None``.
 
-``ColumnarTrace`` is API-compatible with :class:`~repro.obs.span.Trace`
+``ColumnarTrace`` exposes the span-tree API
 (``begin``/``end``/``add``/``root``/``walk``/``spans``/
-``leaf_durations``/``finished``/``depth``), so exporters and
-:mod:`repro.analysis.attribution` work unchanged; equivalence is
-property-tested in ``tests/test_obs_columnar.py``.
+``leaf_durations``/``finished``/``depth``) that exporters and
+:mod:`repro.analysis.attribution` consume; equivalence with a plain
+per-span object tree (the reference ``Trace`` in
+``tests/_span_reference.py``) is property-tested in
+``tests/test_obs_columnar.py``.
 """
 
 from __future__ import annotations
@@ -173,9 +174,8 @@ class SpanStore:
 class ColumnarTrace:
     """One request's span tree, staged as stride-5 rows in a flat list.
 
-    Drop-in compatible with :class:`~repro.obs.span.Trace`; the tree
-    view (``root``/``walk``/``spans``) is materialized on first access
-    and cached once the trace is finished.
+    The tree view (``root``/``walk``/``spans``) is materialized on
+    first access and cached once the trace is finished.
     """
 
     __slots__ = (
@@ -333,8 +333,7 @@ class ColumnarTrace:
         """Total duration per leaf component, straight off the rows.
 
         Row order is pre-order, so keys appear in the same order (and
-        with the same sums) as ``Trace.leaf_durations`` on the
-        equivalent object trace.
+        with the same sums) as a pre-order walk of :attr:`root`.
         """
         data = self.data
         names = self.store.names

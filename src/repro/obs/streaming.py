@@ -36,10 +36,11 @@ with it off (pinned in ``tests/test_determinism.py``):
   instead of post-hoc utilization episodes.
 
 :class:`LiveTelemetry` bundles the three (plus the metrics registry
-and kernel self-profiler) the way :class:`repro.obs.Observability`
-bundles the offline stack; ``run_rubbos(telemetry=...)`` wires it into
-a run and ``python -m repro monitor <scenario>`` drives it from the
-shell.
+and kernel self-profiler) and is the one observability stack:
+``run_rubbos(telemetry=...)`` wires it into a run, ``python -m repro
+monitor <scenario>`` drives it from the shell, and full offline tracing
+(``python -m repro trace``) is the same stack at :data:`FULL_TRACE` —
+base stride 1, so every finished request keeps its span tree.
 """
 
 from __future__ import annotations
@@ -51,10 +52,9 @@ from .bus import EventBus, KernelProfiler
 from .columnar import ColumnarTrace, SpanStore
 from .metrics import MetricsRegistry
 from .sketch import LogHistogram, P2Quantile
-from .span import Trace
-from .tracer import Tracer
 
 __all__ = [
+    "FULL_TRACE",
     "TelemetryConfig",
     "AdaptiveTracer",
     "WindowReport",
@@ -104,8 +104,6 @@ class TelemetryConfig:
     baseline_windows: int = 8
     #: Minimum seconds between ``millibottleneck.onset`` emissions.
     onset_cooldown: float = 2.0
-    #: Span storage flavor (see :mod:`repro.obs.columnar`).
-    columnar: bool = True
     #: Kernel self-profiler stride.
     kernel_sample_every: int = 1024
 
@@ -131,8 +129,15 @@ class TelemetryConfig:
             )
 
 
-class AdaptiveTracer(Tracer):
-    """Budget-driven tracer with slow-request reservoir promotion.
+#: Full tracing: base stride 1 and no budget retune, so every finished
+#: request keeps its span tree (``python -m repro trace``).
+FULL_TRACE = TelemetryConfig(
+    base_sample_every=1, trace_budget_per_window=None
+)
+
+
+class AdaptiveTracer:
+    """The recording tracer: budget-driven, with tail promotion.
 
     Every begun request gets a working span tree (recording costs a few
     list appends per span — the price of being *able* to keep any tail
@@ -150,10 +155,14 @@ class AdaptiveTracer(Tracer):
       retained trace rate rises with it, which is exactly the signal
       worth paying memory for.
 
+    At :data:`FULL_TRACE` every finished request is retained.
     Discarded traces never enter the span store (see
     :meth:`repro.obs.columnar.SpanStore.adopt`), so their staged rows
     are garbage the moment the request record drops its reference.
+    Every request also feeds the ``requests.*`` metrics and bus topics.
     """
+
+    enabled = True
 
     def __init__(
         self,
@@ -162,13 +171,11 @@ class AdaptiveTracer(Tracer):
         bus: Optional[EventBus] = None,
     ):
         config = config if config is not None else TelemetryConfig()
-        super().__init__(
-            sample_every=1,
-            metrics=metrics,
-            bus=bus,
-            columnar=config.columnar,
-        )
         self.config = config
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.bus = bus if bus is not None else EventBus()
+        #: Retained traces, in finish order.
+        self.store = SpanStore()
         self.stride = config.base_sample_every
         #: Running P99 (or configured quantile) estimator — the
         #: promotion threshold once ``min_promote_samples`` arrive.
@@ -179,7 +186,15 @@ class AdaptiveTracer(Tracer):
         self._finished = 0
         self._window_end = config.window
         self._finished_in_window = 0
+        # Instruments resolved once — finish() runs per request.
         metrics = self.metrics
+        self._c_started = metrics.counter("requests.started")
+        self._c_completed = metrics.counter("requests.completed")
+        self._c_failed = metrics.counter("requests.failed")
+        self._c_dropped = metrics.counter("requests.dropped")
+        self._c_retransmitted = metrics.counter("requests.retransmitted")
+        self._c_tcp_retrans = metrics.counter("tcp.retransmissions")
+        self._h_response_time = metrics.histogram("response_time")
         self._c_base = metrics.counter("telemetry.base_retained")
         self._c_promoted = metrics.counter("telemetry.promoted")
         self._c_discarded = metrics.counter("telemetry.discarded")
@@ -191,22 +206,22 @@ class AdaptiveTracer(Tracer):
             return None
         return self.p2.estimate
 
-    def begin_trace(self, request):
+    def begin_trace(self, request) -> ColumnarTrace:
         """Adopt *every* request; retention is decided at finish."""
-        self._seen += 1
-        store = self.store
-        if store is not None:
-            trace = ColumnarTrace(store, request.rid, register=False)
-        else:
-            trace = Trace(request.rid)
+        trace = ColumnarTrace(self.store, request.rid, register=False)
         request.trace = trace
         self._c_started.inc()
-        if self.bus is not None:
-            self.bus.publish("request.started", request)
+        self.bus.publish("request.started", request)
         return trace
 
+    def dropped(self, request, tier: str) -> None:
+        """An attempt hit a full accept queue (published before the
+        TCP backoff, not one RTO later at completion)."""
+        self._c_dropped.inc()
+        self.bus.publish("request.dropped", request)
+
     def finish(self, request) -> None:
-        """Decide retention, update the threshold, then publish."""
+        """Decide retention, fold metrics, then publish."""
         now = request.t_done
         if now is not None and now >= self._window_end:
             self._retune(now)
@@ -219,10 +234,7 @@ class AdaptiveTracer(Tracer):
             rt is not None and threshold is not None and rt >= threshold
         )
         if base or promoted:
-            trace = request.trace
-            self.traces.append(trace)
-            if self.store is not None:
-                self.store.adopt(trace)
+            self.store.adopt(request.trace)
             if promoted:
                 self.promoted += 1
                 self._c_promoted.inc()
@@ -233,9 +245,19 @@ class AdaptiveTracer(Tracer):
             request.trace = None
             self.discarded += 1
             self._c_discarded.inc()
-        if rt is not None and not request.failed:
-            self.p2.observe(rt)
-        super().finish(request)
+        if request.failed:
+            self._c_failed.inc()
+            topic = "request.failed"
+        else:
+            self._c_completed.inc()
+            topic = "request.completed"
+            if rt is not None:
+                self.p2.observe(rt)
+                self._h_response_time.observe(rt)
+        if request.attempts > 1:
+            self._c_retransmitted.inc()
+            self._c_tcp_retrans.inc(request.attempts - 1)
+        self.bus.publish(topic, request)
 
     def _retune(self, now: float) -> None:
         """Window rollover: adapt the base stride to the budget."""
@@ -553,7 +575,7 @@ class TailSloDetector:
 
 
 class LiveTelemetry:
-    """The live-telemetry stack, bundled and wired like Observability.
+    """The observability stack, bundled and wired into one run.
 
     One bus + metrics registry + adaptive tracer + streaming pipeline
     (+ tail-SLO detector when ``config.slo`` is set) + kernel

@@ -1,4 +1,4 @@
-"""Request tracers: the recording tracer and its null fast path.
+"""The null tracer: the disabled fast path every application starts on.
 
 Instrumentation sites never talk to the tracer on the hot path — they
 check ``request.trace`` (a plain attribute, ``None`` unless a recording
@@ -7,27 +7,15 @@ is ``None``.  That keeps the disabled-tracing overhead to one attribute
 load per site and, because tracing schedules no simulation events,
 guarantees byte-identical results with tracing on or off.
 
-:data:`NULL_TRACER` is the module-wide disabled singleton;
-:class:`Tracer` records every (or every ``sample_every``-th) request
-and folds completion metrics into a
-:class:`~repro.obs.metrics.MetricsRegistry`.  By default spans land in
-a shared :class:`~repro.obs.columnar.SpanStore` (rows in one columnar
-table, materialized to :class:`~repro.obs.span.Span` trees only on
-access); ``columnar=False`` restores the per-span object
-:class:`~repro.obs.span.Trace` — both produce identical trees, JSONL
-exports, and attribution output.
+:data:`NULL_TRACER` is the module-wide disabled singleton.  The one
+recording tracer is :class:`repro.obs.streaming.AdaptiveTracer`; full
+tracing is that tracer at stride 1
+(:data:`repro.obs.streaming.FULL_TRACE`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from .bus import EventBus
-from .columnar import ColumnarTrace, SpanStore
-from .metrics import MetricsRegistry
-from .span import Trace
-
-__all__ = ["NullTracer", "Tracer", "NULL_TRACER"]
+__all__ = ["NullTracer", "NULL_TRACER"]
 
 
 class NullTracer:
@@ -43,97 +31,6 @@ class NullTracer:
 
     def dropped(self, request, tier: str) -> None:
         return None
-
-
-class Tracer:
-    """Records a span tree per adopted request.
-
-    ``sample_every`` keeps memory bounded on long runs: 1 traces every
-    request, ``n`` traces every n-th begun request (the untraced ones
-    run the null fast path).  ``metrics`` and ``bus`` are optional
-    sinks for completion statistics and lifecycle events.
-    """
-
-    enabled = True
-
-    def __init__(
-        self,
-        sample_every: int = 1,
-        metrics: Optional[MetricsRegistry] = None,
-        bus: Optional[EventBus] = None,
-        columnar: bool = True,
-    ):
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1: {sample_every}")
-        self.sample_every = int(sample_every)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.bus = bus
-        #: The shared columnar table (None in object-trace mode).
-        self.store: Optional[SpanStore] = SpanStore() if columnar else None
-        self.traces: List[Trace] = []
-        self._seen = 0
-        # Instruments resolved once — finish() runs per request.
-        metrics = self.metrics
-        self._c_started = metrics.counter("requests.started")
-        self._c_completed = metrics.counter("requests.completed")
-        self._c_failed = metrics.counter("requests.failed")
-        self._c_dropped = metrics.counter("requests.dropped")
-        self._c_retransmitted = metrics.counter("requests.retransmitted")
-        self._c_tcp_retrans = metrics.counter("tcp.retransmissions")
-        self._h_response_time = metrics.histogram("response_time")
-
-    def begin_trace(self, request) -> Optional[Trace]:
-        """Adopt ``request`` for tracing (or skip it when sampling)."""
-        self._seen += 1
-        if (self._seen - 1) % self.sample_every != 0:
-            return None
-        store = self.store
-        if store is not None:
-            trace = ColumnarTrace(store, request.rid)
-        else:
-            trace = Trace(request.rid)
-        request.trace = trace
-        self.traces.append(trace)
-        self._c_started.inc()
-        if self.bus is not None:
-            self.bus.publish("request.started", request)
-        return trace
-
-    def dropped(self, request, tier: str) -> None:
-        """One traced transmission attempt hit a full accept queue.
-
-        Called by the client fetch loop for adopted requests only (the
-        untraced ones run the null fast path), *before* the TCP backoff
-        begins — so streaming consumers see drops and retransmission
-        attempts as they happen, not one RTO later when the request
-        finally completes or fails.
-        """
-        self._c_dropped.inc()
-        if self.bus is not None:
-            self.bus.publish("request.dropped", request)
-
-    def finish(self, request) -> None:
-        """Fold a finished traced request into metrics and the bus."""
-        if request.failed:
-            self._c_failed.inc()
-            topic = "request.failed"
-        else:
-            self._c_completed.inc()
-            topic = "request.completed"
-            rt = request.response_time
-            if rt is not None:
-                self._h_response_time.observe(rt)
-        if request.attempts > 1:
-            self._c_retransmitted.inc()
-            self._c_tcp_retrans.inc(request.attempts - 1)
-        if self.bus is not None:
-            self.bus.publish(topic, request)
-
-    # -- views ------------------------------------------------------------
-
-    def finished_traces(self) -> List[Trace]:
-        """Traces whose span stack closed cleanly."""
-        return [t for t in self.traces if t.finished]
 
 
 #: Shared disabled-tracer singleton (the default everywhere).

@@ -3,10 +3,11 @@
 The kernel and span-storage rewrites are behavior-preserving by
 contract; this module pins that contract down.  It defines small
 fig2/fig9-scale scenarios and canonical snapshot encoders (request CSV
-text, percentile-sketch JSON, attribution render) whose outputs are
-committed under ``tests/golden/``.  The goldens were generated from the
-pre-rewrite kernel, so ``tests/test_determinism.py`` comparing against
-them byte-for-byte proves the rewrites changed nothing observable.
+text, percentile-sketch JSON, attribution render, span-export digests)
+whose outputs are committed under ``tests/golden/``.  The goldens were
+generated from the pre-rewrite kernel, so ``tests/test_determinism.py``
+comparing against them byte-for-byte proves the rewrites changed
+nothing observable.
 
 Regenerate (only when a *deliberate* behavior change lands) with::
 
@@ -16,15 +17,22 @@ Regenerate (only when a *deliberate* behavior change lands) with::
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
+import tempfile
 from dataclasses import replace
 
 from repro.analysis.attribution import attribute_run
-from repro.analysis.export import requests_to_rows
+from repro.analysis.export import (
+    chrome_trace_events,
+    requests_to_rows,
+    write_spans_jsonl,
+)
 from repro.experiments.configs import PRIVATE_CLOUD, NetworkConfig
 from repro.experiments.runner import run_rubbos
+from repro.obs import FULL_TRACE
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -102,7 +110,7 @@ def requests_csv_text(run) -> str:
 
 def sketch_json_text(run) -> str:
     """Percentile-sketch values of a traced run's response times."""
-    hist = run.obs.metrics.histogram("response_time")
+    hist = run.telemetry.metrics.histogram("response_time")
     payload = {
         "count": hist.count,
         "total": hist.total,
@@ -116,21 +124,48 @@ def sketch_json_text(run) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def export_digests(run) -> dict:
+    """sha256 digests of a traced run's JSONL and Chrome span exports.
+
+    Hashes the bytes ``write_spans_jsonl`` writes over every finished
+    request (completed then failed) and the sorted-key JSON dump of
+    ``chrome_trace_events`` over the same requests, so the span-tree
+    exports are pinned without committing megabytes of spans.
+    """
+    finished = run.app.completed + run.app.failed
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spans.jsonl")
+        write_spans_jsonl(path, finished)
+        with open(path, "rb") as fh:
+            jsonl = hashlib.sha256(fh.read()).hexdigest()
+    chrome = hashlib.sha256(
+        json.dumps(chrome_trace_events(finished), sort_keys=True).encode()
+    ).hexdigest()
+    return {"chrome_sha256": chrome, "jsonl_sha256": jsonl}
+
+
+def export_digests_text(run) -> str:
+    """:func:`export_digests` as the committed golden JSON text."""
+    return json.dumps(export_digests(run), indent=2, sort_keys=True) + "\n"
+
+
 def attribution_text(run) -> str:
     """The rendered root-cause attribution report for the run."""
     return attribute_run(run, threshold=0.5).render() + "\n"
 
 
-def run_golden_fig2(tracing: bool = False):
-    return run_rubbos(GOLDEN_FIG2, tracing=tracing)
+def run_golden_fig2(**kwargs):
+    return run_rubbos(GOLDEN_FIG2, **kwargs)
 
 
-def run_golden_fig9(tracing: bool = True, **kwargs):
-    return run_rubbos(GOLDEN_FIG9, tracing=tracing, **kwargs)
+def run_golden_fig9(**kwargs):
+    """Fully traced by default: the sketch/attribution goldens need it."""
+    kwargs.setdefault("telemetry", FULL_TRACE)
+    return run_rubbos(GOLDEN_FIG9, **kwargs)
 
 
-def run_golden_net(tracing: bool = False, **kwargs):
-    return run_rubbos(GOLDEN_NET, tracing=tracing, **kwargs)
+def run_golden_net(**kwargs):
+    return run_rubbos(GOLDEN_NET, **kwargs)
 
 
 #: golden file name -> callable producing its current text.
@@ -138,6 +173,7 @@ def snapshots() -> dict:
     fig2 = run_golden_fig2()
     fig9 = run_golden_fig9()
     net = run_golden_net()
+    net_traced = run_golden_net(telemetry=FULL_TRACE)
     dc = run_golden_dc()
     dc8 = run_golden_dc8()
     return {
@@ -145,7 +181,9 @@ def snapshots() -> dict:
         "fig9_requests.csv": requests_csv_text(fig9),
         "fig9_sketch.json": sketch_json_text(fig9),
         "fig9_attribution.txt": attribution_text(fig9),
+        "fig9_exports.json": export_digests_text(fig9),
         "net_requests.csv": requests_csv_text(net),
+        "net_exports.json": export_digests_text(net_traced),
         "dc2_requests.csv": requests_csv_text(dc),
         "dc8_requests.csv": requests_csv_text(dc8),
     }

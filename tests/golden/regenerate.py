@@ -6,7 +6,10 @@ Run only when a deliberate behavior change invalidates the goldens::
 
 The committed goldens were produced by the pre-rewrite (PR 2) kernel;
 ``tests/test_determinism.py`` holds the optimized kernel and columnar
-span store to byte-identical output against them.
+span store to byte-identical output against them.  The
+``*_exports.json`` files carry sha256 digests of the fig9 and net span
+exports (JSONL and Chrome trace_event), taken while the per-span object
+backend still existed and agreed with the columnar store.
 """
 
 import os

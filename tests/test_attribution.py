@@ -19,7 +19,7 @@ from repro.analysis.export import (
 )
 from repro.core.burst import BurstRecord
 from repro.ntier.request import Request
-from repro.obs import Trace
+from repro.obs import ColumnarTrace, SpanStore
 
 
 def traced_request(rid=1, rto=1.0):
@@ -29,7 +29,7 @@ def traced_request(rid=1, rto=1.0):
     request.attempts = 2
     request.attempt_times = [10.0, 10.0 + rto]
     request.drop_tiers = ["web"]
-    trace = Trace(rid)
+    trace = ColumnarTrace(SpanStore(), rid)
     trace.begin("request", "view", 10.0)
     trace.begin("attempt", "attempt-1", 10.0)
     trace.end(10.0, dropped=True, drop_tier="web")

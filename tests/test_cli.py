@@ -52,6 +52,25 @@ class TestCli:
         # The per-bin rows end with the totals line.
         assert "total" in out
 
+    def test_trace_stride_keeps_every_nth_finished(
+        self, capsys, tmp_path
+    ):
+        def span_trees(stride):
+            out = tmp_path / f"every{stride}"
+            assert main([
+                "trace", "fig2", "--duration", "6", "--users", "60",
+                "--sample-every", str(stride), "--out", str(out),
+            ]) == 0
+            capsys.readouterr()
+            return (out / "fig2-spans.jsonl").read_text().splitlines()
+
+        every = span_trees(1)
+        fifth = span_trees(5)
+        # Stride 1 keeps one tree per finished request; stride 5 keeps
+        # every 5th finished request plus the promoted tail.
+        assert len(fifth) < len(every)
+        assert 5 * len(fifth) >= len(every)
+
     def test_monitor_unknown_scenario_fails(self, capsys):
         assert main(["monitor", "nope"]) == 2
         assert "scenario name" in capsys.readouterr().err

@@ -486,6 +486,26 @@ class TestRunnerIntegration:
         assert run.population.users == 400
 
 
+    def test_traced_hybrid_run_publishes_fluid_windows(
+        self, hybrid_scenario
+    ):
+        # Full tracing is the telemetry stack, so the fluid engine
+        # shares its bus like the network chains do.
+        from repro.experiments.runner import run_rubbos
+        from repro.obs import FULL_TRACE
+
+        scenario = replace(hybrid_scenario, duration=3.0, warmup=0.0)
+        run = run_rubbos(
+            scenario,
+            telemetry=FULL_TRACE,
+            hybrid=HybridConfig(sample_fraction=0.25),
+        )
+        assert run.fluid is not None
+        published = run.telemetry.bus.published
+        assert published["fluid.window"] > 0
+        assert published["fluid.window"] == len(run.fluid.windows)
+
+
 class TestSweepCacheKeys:
     """Hybrid configuration must be part of the content-addressed key."""
 

@@ -4,7 +4,7 @@ import logging
 
 import pytest
 
-from repro.obs import EventBus, Tracer
+from repro.obs import FULL_TRACE, AdaptiveTracer, EventBus
 
 
 class TestEventBusDelivery:
@@ -184,7 +184,7 @@ class _Lifecycle:
 class TestTracerLifecycleTopics:
     def _tracer(self):
         bus = EventBus()
-        return Tracer(bus=bus), bus
+        return AdaptiveTracer(FULL_TRACE, bus=bus), bus
 
     def test_started_completed_published(self):
         tracer, bus = self._tracer()

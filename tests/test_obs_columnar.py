@@ -1,8 +1,8 @@
-"""Property tests: the columnar span store mirrors the object tracer.
+"""Property tests: the columnar span store mirrors an object span tree.
 
-``ColumnarTrace`` promises drop-in compatibility with
-:class:`repro.obs.span.Trace`: feed both the same ``begin``/``end``/
-``add`` sequence and every tree view — ``root``, ``walk``, ``spans``,
+``ColumnarTrace`` promises the same tree as the reference per-span
+object :class:`tests._span_reference.Trace`: feed both the same
+``begin``/``end``/``add`` sequence and every tree view — ``root``, ``walk``, ``spans``,
 ``leaf_durations``, ``finished``, ``depth`` — must agree exactly,
 including for *truncated* traces whose open spans were never closed.
 Hypothesis drives both recorders with random well-formed (and
@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs.columnar import ROW_STRIDE, SPAN_DTYPE, ColumnarTrace, SpanStore
-from repro.obs.span import LEAF_KINDS, SPAN_KINDS, Span, Trace
+from repro.obs.span import LEAF_KINDS, SPAN_KINDS, Span
+from tests._span_reference import Trace
 
 NESTING_KINDS = tuple(k for k in SPAN_KINDS if k not in LEAF_KINDS)
 

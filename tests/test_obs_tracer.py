@@ -14,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import CloudDeployment, DeploymentConfig, TierConfig
-from repro.obs import NULL_TRACER, Observability, Trace, Tracer
+from repro.obs import (
+    FULL_TRACE,
+    NULL_TRACER,
+    AdaptiveTracer,
+    ColumnarTrace,
+    LiveTelemetry,
+    SpanStore,
+)
 from repro.sim import RandomStreams, Simulator
 from repro.workload import OpenLoopGenerator, exponential_request_factory
 
@@ -84,7 +91,7 @@ class TestSpanTreeProperties:
     )
     @settings(max_examples=15, deadline=None)
     def test_span_trees_well_formed(self, seed, rate):
-        tracer = Tracer()
+        tracer = AdaptiveTracer(FULL_TRACE)
         app = run_traced(seed, rate, tracer=tracer)
         assert app.completed, "scenario produced no completed requests"
         for request in app.completed:
@@ -105,7 +112,7 @@ class TestSpanTreeProperties:
     def test_leaf_durations_sum_to_response_time(
         self, seed, rate, tandem
     ):
-        tracer = Tracer()
+        tracer = AdaptiveTracer(FULL_TRACE)
         app = run_traced(seed, rate, tandem=tandem, tracer=tracer)
         assert app.completed
         for request in app.completed:
@@ -120,7 +127,9 @@ class TestSpanTreeProperties:
     def test_disabled_tracer_is_identical(self, seed):
         """Same seed, tracing on vs off: identical measurements."""
         plain = run_traced(seed, rate=150.0)
-        traced = run_traced(seed, rate=150.0, tracer=Tracer())
+        traced = run_traced(
+            seed, rate=150.0, tracer=AdaptiveTracer(FULL_TRACE)
+        )
         assert len(plain.completed) == len(traced.completed)
         assert len(plain.failed) == len(traced.failed)
         for a, b in zip(plain.completed, traced.completed):
@@ -138,7 +147,7 @@ class TestTracerBehaviour:
         assert all(r.trace is None for r in app.completed)
 
     def test_dropped_requests_have_drop_detail(self):
-        tracer = Tracer()
+        tracer = AdaptiveTracer(FULL_TRACE)
         app = run_traced(5, rate=380.0, tracer=tracer)
         retried = [r for r in app.completed if r.attempts > 1]
         assert retried, "expected front-tier drops at this rate"
@@ -153,21 +162,8 @@ class TestTracerBehaviour:
                 >= 1.0 * (request.attempts - 1) - EPS
             )
 
-    def test_sampling_traces_subset(self):
-        tracer = Tracer(sample_every=3)
-        app = run_traced(7, rate=100.0, tracer=tracer)
-        total = len(app.completed) + len(app.failed)
-        traced = [
-            r for r in app.completed + app.failed if r.trace is not None
-        ]
-        assert 0 < len(traced) < total
-        # Exactly every 3rd *begun* request is adopted (some begun
-        # requests are still in flight when the run stops).
-        assert len(tracer.traces) == (tracer._seen + 2) // 3
-        assert len(tracer.traces) >= total // 3
-
     def test_tracer_metrics_fed_on_finish(self):
-        tracer = Tracer()
+        tracer = AdaptiveTracer(FULL_TRACE)
         app = run_traced(11, rate=200.0, tracer=tracer)
         snapshot = tracer.metrics.snapshot()
         assert (
@@ -177,7 +173,7 @@ class TestTracerBehaviour:
         assert snapshot["response_time"]["count"] == len(app.completed)
 
     def test_trace_stack_misuse_raises(self):
-        trace = Trace(rid=1)
+        trace = ColumnarTrace(SpanStore(), rid=1)
         with pytest.raises(ValueError):
             trace.end(1.0)
         with pytest.raises(ValueError):
@@ -192,9 +188,9 @@ class TestObservabilityBundle:
     def test_attach_wires_tracer_and_kernel(self):
         sim = Simulator()
         app = three_tier_app(sim)
-        obs = Observability()
-        obs.attach(sim, app)
-        assert app.tracer is obs.tracer
+        live = LiveTelemetry(FULL_TRACE)
+        live.attach(sim, app)
+        assert app.tracer is live.tracer
         streams = RandomStreams(2)
         factory = exponential_request_factory(
             {"web": 0.001, "appsrv": 0.002, "db": 0.004},
@@ -204,7 +200,11 @@ class TestObservabilityBundle:
             sim, app, factory, rate=80.0, rng=streams.get("arrivals")
         ).start()
         sim.run(until=4.0)
-        report = obs.report()
+        live.finalize(4.0)
+        report = live.report()
         assert report["kernel"]["events_dispatched"] > 0
-        assert report["traces"] == len(obs.tracer.traces) > 0
-        assert "requests.completed" in report["metrics"]
+        traces = report["traces"]
+        assert traces["retained"] == len(live.tracer.store.traces) > 0
+        assert traces["discarded"] == 0
+        assert report["windows"] == 4
+        assert "requests.completed" in live.metrics.snapshot()
