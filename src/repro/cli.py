@@ -353,6 +353,35 @@ def _print_kernel_profile(kernel, duration: float) -> None:
     )
 
 
+def _with_overrides(args, scenario):
+    """Apply ``--duration`` / ``--users`` to a single-host scenario as
+    plain field overrides (``trace`` and ``monitor``: no capacity
+    co-scaling)."""
+    overrides = {}
+    if args.duration is not None:
+        overrides["duration"] = args.duration
+    if args.users is not None:
+        overrides["users"] = args.users
+    if overrides:
+        scenario = replace(scenario, **overrides)
+    return scenario
+
+
+def _print_client_rt(response_times) -> None:
+    """Print the client response-time p50/p99/p99.9 line, if any."""
+    import numpy as np
+
+    rts = np.asarray(response_times)
+    if rts.size:
+        print(
+            "client RT: "
+            + "  ".join(
+                f"p{q:g}={np.percentile(rts, q) * 1e3:.1f}ms"
+                for q in (50.0, 99.0, 99.9)
+            )
+        )
+
+
 def _run_trace(args) -> int:
     """The ``trace`` subcommand: traced run + exports + attribution."""
     from .analysis.attribution import attribute_run
@@ -374,14 +403,7 @@ def _run_trace(args) -> int:
             file=sys.stderr,
         )
         return 2
-    scenario = scenarios[args.scenario]
-    overrides = {}
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.users is not None:
-        overrides["users"] = args.users
-    if overrides:
-        scenario = replace(scenario, **overrides)
+    scenario = _with_overrides(args, scenarios[args.scenario])
 
     print(
         f"tracing scenario {args.scenario!r} "
@@ -470,8 +492,13 @@ def _resolve_shards(args, scenario) -> int:
     return len(scenario.shards)
 
 
-def _datacenter_scenario(args, name):
-    """Resolve a datacenter scenario with --duration/--users applied."""
+def _start_datacenter(args, name, verb):
+    """Resolve a datacenter scenario and its shard count.
+
+    Applies ``--users`` (through ``with_users``, which co-scales tier
+    capacities) and ``--duration``, resolves ``--shards``, and prints
+    the ``run`` / ``monitor`` header line.
+    """
     from .experiments.datacenter import DATACENTERS
 
     scenario = DATACENTERS[name]
@@ -482,29 +509,28 @@ def _datacenter_scenario(args, name):
         base = replace(base, duration=args.duration)
     if base is not scenario.base:
         scenario = replace(scenario, base=base)
-    return scenario
+    shards = _resolve_shards(args, scenario)
+    print(
+        f"{verb} datacenter scenario {name!r} "
+        f"({len(scenario.shards)} hosts, {scenario.base.users} users, "
+        f"{scenario.base.duration:.0f}s, shards={shards}, "
+        f"window={scenario.window * 1e3:.2f}ms)..."
+    )
+    return scenario, shards
 
 
 def _run_datacenter(args, name) -> int:
     """``run`` on a multi-host scenario: the sharded parallel kernel.
 
-    ``--shards 1`` runs all hosts side by side in one simulator (the
-    byte-identical reference mode); ``--shards N`` (default: one per
-    host) partitions the hosts into worker processes synchronized by
-    the conservative safe-window protocol (DESIGN.md §12).
+    ``--shards 1`` runs all hosts as one in-process group on the
+    window loop the workers use (the byte-identical reference mode);
+    ``--shards N`` (default: one per host) partitions the hosts into
+    worker processes synchronized by the conservative safe-window
+    protocol (DESIGN.md §12).
     """
-    import numpy as np
-
     from .experiments.datacenter import run_datacenter
 
-    scenario = _datacenter_scenario(args, name)
-    shards = _resolve_shards(args, scenario)
-    print(
-        f"running datacenter scenario {name!r} "
-        f"({len(scenario.shards)} hosts, {scenario.base.users} users, "
-        f"{scenario.base.duration:.0f}s, shards={shards}, "
-        f"window={scenario.window * 1e3:.2f}ms)..."
-    )
+    scenario, shards = _start_datacenter(args, name, "running")
     started = time.time()
     run = run_datacenter(scenario, shards=shards)
     wall = time.time() - started
@@ -540,17 +566,9 @@ def _run_datacenter(args, name) -> int:
         )
     print(f"requests: {len(requests)} completed post-warmup, "
           f"{len(run.failed)} failed")
-    rts = np.array(
+    _print_client_rt(
         [r.response_time for r in requests if r.response_time is not None]
     )
-    if rts.size:
-        print(
-            "client RT: "
-            + "  ".join(
-                f"p{q:g}={np.percentile(rts, q) * 1e3:.1f}ms"
-                for q in (50.0, 99.0, 99.9)
-            )
-        )
     print(f"[run {name} done in {wall:.1f}s]")
     return 0
 
@@ -558,28 +576,16 @@ def _run_datacenter(args, name) -> int:
 def _monitor_datacenter(args, name) -> int:
     """``monitor`` on a multi-host scenario: per-shard window progress.
 
-    Subscribes to the ``shard.window`` bus topic the sharded runner
-    publishes at every progress stride and prints one row per
-    completed lock-step stride with a column per shard — the live view
-    of the conservative-window protocol advancing.
+    Subscribes to the ``shard.window`` bus topic each group publishes
+    at every progress stride and prints one row per completed
+    lock-step stride with a column per group — the live view of the
+    conservative-window protocol advancing (one column for
+    ``--shards 1``).
     """
     from .experiments.datacenter import _partition, run_datacenter
     from .obs.bus import EventBus
 
-    scenario = _datacenter_scenario(args, name)
-    shards = _resolve_shards(args, scenario)
-    print(
-        f"monitoring datacenter scenario {name!r} "
-        f"({len(scenario.shards)} hosts, {scenario.base.users} users, "
-        f"{scenario.base.duration:.0f}s, shards={shards}, "
-        f"window={scenario.window * 1e3:.2f}ms)..."
-    )
-    if shards == 1:
-        print(
-            "note: --shards 1 runs one simulator with no window "
-            "boundaries; per-shard progress rows only appear for "
-            "shards > 1"
-        )
+    scenario, shards = _start_datacenter(args, name, "monitoring")
     # One column per worker, headed by its group's hosts; each group
     # reports under its first member's index.
     groups = _partition(scenario, shards)
@@ -653,8 +659,6 @@ def _run_run(args) -> int:
     only ``--sample-fraction`` of the users run discretely; the rest
     advance as mean-field fluid state coupled back as background load.
     """
-    import numpy as np
-
     from .experiments.datacenter import DATACENTERS
     from .experiments.runner import run_rubbos
     from .experiments.summary import summarize_rubbos
@@ -691,21 +695,13 @@ def _run_run(args) -> int:
     run = run_rubbos(scenario, hybrid=hybrid)
     wall = time.time() - started
     summary = summarize_rubbos(run)
-    rts = summary.client_response_times()
     print(f"wall time: {wall:.1f}s ({scenario.duration / wall:.1f}x realtime)")
     print(
         f"sampled requests: {len(summary.requests)} completed "
         f"post-warmup, {summary.front_drops} front-tier drops"
     )
     print(f"population throughput: {summary.weighted_throughput():.0f} req/s")
-    if rts.size:
-        print(
-            "client RT: "
-            + "  ".join(
-                f"p{q:g}={np.percentile(rts, q) * 1e3:.1f}ms"
-                for q in (50.0, 99.0, 99.9)
-            )
-        )
+    _print_client_rt(summary.client_response_times())
     fluid = summary.fluid
     if fluid is not None:
         peak = ", ".join(
@@ -752,14 +748,7 @@ def _run_monitor(args) -> int:
             file=sys.stderr,
         )
         return 2
-    scenario = scenarios[args.scenario]
-    overrides = {}
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if args.users is not None:
-        overrides["users"] = args.users
-    if overrides:
-        scenario = replace(scenario, **overrides)
+    scenario = _with_overrides(args, scenarios[args.scenario])
 
     config = TelemetryConfig(
         window=args.window,
@@ -923,7 +912,8 @@ def main(argv=None) -> int:
         default=None,
         help="worker-process count for multi-host scenarios "
              "('run'/'monitor' on dc-* scenarios; default: one per "
-             "host, 1 = single-process reference mode, 'auto' = "
+             "host, 1 = every host as one in-process group on the "
+             "same window loop, the reference mode; 'auto' = "
              "min(hosts, cpu cores))",
     )
     parser.add_argument(
@@ -943,7 +933,8 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         help="override the closed-loop user count ('trace'/'monitor'; "
-             "'run' co-scales tier capacities via with_users)",
+             "'run' and 'monitor dc-*' co-scale tier capacities via "
+             "with_users)",
     )
     parser.add_argument(
         "--hybrid",

@@ -8,16 +8,18 @@ cross-host tier→tier RPCs travel as timestamped frames through
 conservative safe-window protocol of :mod:`repro.sim.sharded`
 (DESIGN.md §12).
 
-``run_datacenter(scenario, shards=1)`` executes every shard domain
-side by side inside **one** simulator (deliveries scheduled directly
-at send time) — the reference interleaving.  ``shards=K`` for
-``2 <= K <= n`` runs ``K`` worker processes, each owning a *group* of
-shard domains in one simulator: channels inside a group stay direct
-(:class:`~repro.sim.sharded.LocalChannel`), only cross-group channels
-go through the frame exchange, whose base window is the min lookahead
-over the *cross-group* links.  Groups balance each worker's share of
-the discrete traffic and then cut only the widest links, so they need
-not be contiguous (:func:`_partition`).  ``K == n`` is the
+Every run goes through one group runner (:func:`_run_group`): a
+*group* of shard domains shares one simulator, channels inside the
+group stay direct (:class:`~repro.sim.sharded.LocalChannel`), and
+only cross-group channels go through the frame exchange of the
+lock-step window loop.  ``run_datacenter(scenario, shards=1)`` runs
+every shard as one group in process — the reference interleaving,
+with ``ceil(duration / window)`` rounds and no frames.
+``shards=K`` for ``2 <= K <= n`` runs ``K`` worker processes, one
+group each, whose base window is the min lookahead over the
+*cross-group* links.  Groups balance each worker's share of the
+discrete traffic and then cut only the widest links, so they need not
+be contiguous (:func:`_partition`).  ``K == n`` is the
 one-host-per-worker sharding; dispatch order within each simulator is
 identical to the reference in every mode, so request CSVs and event
 counts match byte for byte (``tests/test_determinism.py``) while the
@@ -25,22 +27,24 @@ wall clock drops with the core count (``benchmarks/bench_shard.py``).
 
 Workers exchange one frame per cross-group link per lock-step window,
 pickled onto the pipe by :class:`~repro.sim.sharded.PipeTransport` —
-one protocol and one wire, so a sharded run's round count is
-``ceil(duration / window)``.
+one protocol and one wire, so a run's round count is
+``ceil(duration / window)`` in every mode.
 
-Scenarios may carry a :class:`ShardBulk`: every shard worker then
-hosts a per-host million-user fluid bulk
+Scenarios may carry a :class:`ShardBulk`: every shard then hosts a
+per-host million-user fluid bulk
 (:class:`~repro.sim.hybrid.FluidEngine` over the shard's local tier
 slice), coupled into the discrete tiers as background load — the
 datacenter flavour of the hybrid engine, closed-loop per host so no
 fluid mass crosses shard boundaries (the cross-host traffic stays
 fully discrete and exactly synchronized).
 
-Both modes build *identical* per-shard domains — same construction
+Every mode builds *identical* per-shard domains — same construction
 order, same marshalled RPC frames, same name-addressed RNG streams
 (:class:`~repro.sim.rng.RandomStreams` substreams depend only on
 ``(seed, name)``, never on draw order elsewhere) — which is what makes
-the equivalence hold by construction rather than by luck.
+the equivalence hold by construction rather than by luck.  The
+deployment config, the memory attack and the fluid bulk come from the
+same builders :func:`~repro.experiments.runner.run_rubbos` uses.
 """
 
 from __future__ import annotations
@@ -54,9 +58,8 @@ from fractions import Fraction
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..cloud.platform import CloudDeployment, DeploymentConfig, rubbos_3tier
+from ..cloud.platform import CloudDeployment, DeploymentConfig
 from ..cloud.topology import RackTopology
-from ..core.attack import MemCAAttack
 from ..net.fabric import CrossHostLink
 from ..ntier.client import UserPopulation
 from ..ntier.remote import RemoteTierServer, RemoteTierStub
@@ -64,7 +67,7 @@ from ..ntier.replicated import ReplicatedTier
 from ..ntier.request import Request
 from ..obs.sketch import LogHistogram
 from ..sim.core import Simulator
-from ..sim.hybrid import FluidEngine, HybridConfig, fluid_tiers_for
+from ..sim.hybrid import FluidEngine, HybridConfig
 from ..sim.rng import RandomStreams
 from ..sim.sharded import (
     EventCounter,
@@ -80,8 +83,10 @@ from ..workload.rubbos import RubbosWorkload
 from .configs import AttackSpec, RubbosScenario
 from .runner import (
     _population_frozen,
-    make_attack_program,
+    deployment_config,
+    launch_attack,
     split_attack_program,
+    start_fluid,
 )
 from .summary import completed_after_warmup
 
@@ -200,7 +205,7 @@ class DatacenterScenario:
 
     def chain(self) -> Tuple[str, ...]:
         """The full tier chain, front-to-back."""
-        return tuple(t.name for t in _tier_configs(self.base).tiers)
+        return tuple(t.name for t in deployment_config(self.base).tiers)
 
     def layout(self) -> Tuple[Tuple[_Edge, ...], Tuple[int, ...]]:
         """Validate the shard tiling; return (edges, replica shards).
@@ -250,23 +255,13 @@ class DatacenterScenario:
             )
         return tuple(edges), replicas
 
-    # -- derived protocol parameters -----------------------------------
-
-    def channel_pairs(self) -> Tuple[Tuple[str, str], ...]:
-        """Every directed host pair a channel runs over (call + reply)."""
-        edges, _ = self.layout()
-        pairs: List[Tuple[str, str]] = []
-        for edge in edges:
-            src = self.shards[edge.upstream].host
-            dst = self.shards[edge.downstream].host
-            pairs.append((src, dst))
-            pairs.append((dst, src))
-        return tuple(pairs)
-
     @property
     def window(self) -> float:
-        """The conservative safe-window width (min link lookahead)."""
-        return self.topology.min_lookahead(self.channel_pairs())
+        """The conservative safe-window width: the min lookahead over
+        every cross-host channel (the window of the one-group run)."""
+        return self.topology.min_lookahead(
+            [(src, dst) for _, _, _, src, dst in _channel_specs(self)]
+        )
 
     def attack_shard(self) -> Optional[int]:
         """Index of the shard the adversary co-locates with."""
@@ -279,18 +274,6 @@ class DatacenterScenario:
             if target in spec.tiers:
                 return index
         raise ValueError(f"attack target {target!r} is on no shard")
-
-
-def _tier_configs(base: RubbosScenario) -> DeploymentConfig:
-    """The full-chain deployment config a base scenario describes."""
-    return rubbos_3tier(
-        apache_threads=base.apache_threads,
-        apache_backlog=base.apache_backlog,
-        tomcat_threads=base.tomcat_threads,
-        mysql_connections=base.mysql_connections,
-        host_spec=base.host_spec,
-        vcpus=base.tier_vcpus,
-    )
 
 
 #: Channel ids: edge ``e`` owns call channel ``2e`` (upstream →
@@ -460,13 +443,10 @@ def _group_window(
 
 @dataclass
 class _Domain:
-    """One shard's built world (either execution mode)."""
+    """One shard's built world."""
 
     deployment: CloudDeployment
     population: Optional[UserPopulation]
-    attack: Optional[MemCAAttack]
-    server: Optional[RemoteTierServer]
-    stubs: List[RemoteTierStub]
     sketch: LogHistogram
     fluid: Optional[FluidEngine] = None
 
@@ -492,7 +472,7 @@ def _build_domain(
     """
     spec = scenario.shards[index]
     base = scenario.base
-    full = _tier_configs(base)
+    full = deployment_config(base)
     sub = DeploymentConfig(
         tiers=tuple(t for t in full.tiers if t.name in spec.tiers),
         host_spec=full.host_spec,
@@ -504,10 +484,10 @@ def _build_domain(
     sketch = LogHistogram()
     edges, _ = scenario.layout()
 
-    stubs: List[RemoteTierStub] = []
     my_calls = [e for e in edges if e.upstream == index]
     if my_calls:
         remote_name = my_calls[0].tier
+        stubs: List[RemoteTierStub] = []
         for edge in my_calls:
             stub = RemoteTierStub(
                 sim,
@@ -525,7 +505,6 @@ def _build_domain(
             remote = stubs[0]
         deployment.app.tiers[-1].downstream = remote
 
-    server: Optional[RemoteTierServer] = None
     my_serves = [e for e in edges if e.downstream == index]
     if my_serves:
         (edge,) = my_serves
@@ -550,55 +529,21 @@ def _build_domain(
         )
         population.start()
 
-    attack: Optional[MemCAAttack] = None
     if scenario.attack_shard() == index:
-        aspec = base.attack
-        target = aspec.target_tier
-        if target is None:
-            target = scenario.chain()[-1]
-        mem_program, _ = split_attack_program(aspec.program)
-        program = make_attack_program(
-            AttackSpec(
-                program=mem_program,
-                length=aspec.length,
-                interval=aspec.interval,
-                intensity=aspec.intensity,
-                jitter=aspec.jitter,
-                adversaries=aspec.adversaries,
-                target_tier=target,
-            ),
-            base.host_spec.mem_bandwidth_mbps,
-        )
-        attack = MemCAAttack(
-            sim,
-            deployment,
-            program=program,
-            length=aspec.length,
-            interval=aspec.interval,
-            intensity=aspec.intensity,
-            adversaries=aspec.adversaries,
-            target_tier=target,
-            jitter=aspec.jitter,
-            rng=streams.get("attack"),
-            monitor_interval=base.monitor_interval,
-        )
-        attack.launch()
+        # An unset target resolves to the slice's back tier, which is
+        # the chain's back tier on the shard attack_shard() picks.
+        mem_program, _ = split_attack_program(base.attack.program)
+        launch_attack(sim, deployment, base, mem_program, streams)
 
     fluid: Optional[FluidEngine] = None
     if scenario.bulk is not None:
         bulk = scenario.bulk
-        # The bulk's mean demands come from the workload model, not a
-        # random stream — RNG-free, so the engine never perturbs the
-        # discrete substreams (same invariant as the hybrid runner).
-        demand_model = RubbosWorkload()
-        fluid = FluidEngine(
+        fluid = start_fluid(
             sim,
-            tiers=fluid_tiers_for(
-                deployment.app.tiers, demand_model.mean_demand
-            ),
-            bulk_users=bulk.users_per_host,
-            think_time=bulk.think_time,
-            config=HybridConfig(
+            deployment,
+            bulk.users_per_host,
+            bulk.think_time,
+            HybridConfig(
                 sample_fraction=1.0,
                 fluid_tick=bulk.fluid_tick,
                 couple=True,
@@ -606,19 +551,10 @@ def _build_domain(
                 publish_window=bulk.publish_window,
             ),
         )
-        # Re-step exactly on attack ON/OFF edges (registered after the
-        # deployment wired the VMs, so the engine steps with the
-        # pre-change speeds it cached).
-        for memory in deployment.memories.values():
-            fluid.watch(memory)
-        fluid.start()
 
     return _Domain(
         deployment=deployment,
         population=population,
-        attack=attack,
-        server=server,
-        stubs=stubs,
         sketch=sketch,
         fluid=fluid,
     )
@@ -628,12 +564,13 @@ def _build_domain(
 class ShardResult:
     """One shard's aggregates after a run.
 
-    Event counters are per *simulator*: the unsharded reference
-    reports the whole count on shard 0, a grouped run on each group's
-    first member (only the *sum* is meaningful in any mode — that is
-    the quantity the determinism gate compares).  ``frames`` /
+    Event counters are per *simulator*, and each group's simulator
+    reports on the group's first member — the whole count on shard 0
+    when ``shards=1`` (only the *sum* is meaningful in any mode — that
+    is the quantity the determinism gate compares).  ``frames`` /
     ``wire_bytes`` follow the same convention (exchange totals of the
-    member's group).
+    member's group).  ``windows`` is the round count of the member's
+    group, ``ceil(duration / window)`` in every mode.
     """
 
     index: int
@@ -648,9 +585,9 @@ class ShardResult:
     sketch: LogHistogram
     #: Per-host fluid-bulk aggregates (hybrid scenarios only).
     fluid: Optional[Dict[str, float]] = None
-    #: Frames this shard's group put on the wire (0 when unsharded).
+    #: Frames this shard's group put on the wire (0 with one group).
     frames: int = 0
-    #: Pickled frame bytes the group sent (0 when unsharded).
+    #: Pickled frame bytes the group sent (0 with one group).
     wire_bytes: int = 0
 
 
@@ -665,8 +602,8 @@ class DatacenterRun:
     #: Client-side requests from the front shard, completion order.
     completed: List[Request]
     failed: List[Request]
-    #: Shard indices each worker ran, one tuple per worker (a single
-    #: group of every shard when unsharded).
+    #: Shard indices each group ran, one tuple per group (a single
+    #: group of every shard when ``shards=1``).
     groups: Tuple[Tuple[int, ...], ...] = ()
 
     @property
@@ -682,12 +619,13 @@ class DatacenterRun:
     @property
     def wire_bytes(self) -> int:
         """Total pickled frame bytes sent across all cross-group links
-        (0 when unsharded)."""
+        (0 with one group)."""
         return sum(result.wire_bytes for result in self.shard_results)
 
     @property
     def rounds(self) -> int:
-        """Exchange rounds the slowest shard ran (0 when unsharded)."""
+        """Window rounds the slowest group ran: ``ceil(duration /
+        window)``, also for the one in-process group of ``shards=1``."""
         return max(
             (result.windows for result in self.shard_results), default=0
         )
@@ -734,100 +672,153 @@ class DatacenterRun:
         return tuple(totals)
 
 
-def _domain_stats(domain: _Domain) -> Dict[str, Tuple[int, int, int]]:
-    return {
-        tier.name: (tier.arrivals, tier.completions, tier.drops)
-        for tier in domain.app.tiers
-    }
-
-
-def _domain_fluid(domain: _Domain) -> Optional[Dict[str, float]]:
-    engine = domain.fluid
-    if engine is None:
-        return None
-    return {
-        "bulk_users": float(engine.bulk_users),
-        "completed": engine.completed,
-        "dropped": engine.dropped,
-    }
-
-
-def _finish_front_sketch(domain: _Domain) -> None:
-    """Front shard: observe every client response time post-run."""
-    if domain.population is None:
-        return
-    for request in domain.app.completed:
-        rt = request.response_time
-        if rt is not None:
-            domain.sketch.observe(rt)
-
-
 def _default_stride(scenario: DatacenterScenario) -> int:
     """Progress roughly once per simulated second."""
     return max(1, int(round(1.0 / scenario.window)))
 
 
-def _run_single(
+def _run_group(
     scenario: DatacenterScenario,
-    progress: Optional[Callable[[ShardWindow], None]],
-    bus: Any,
-) -> DatacenterRun:
-    """Reference mode: every shard domain in one shared simulator."""
+    members: List[int],
+    window: float,
+    out_conns: Dict[int, Any],
+    in_conns: Dict[int, Any],
+    report: Callable[[ShardWindow], None],
+    stride: int,
+    spin: float,
+) -> dict:
+    """Build one execution group, run its window loop, return its payload.
+
+    ``members`` (ascending shard indices) share one simulator.
+    Channels are built in global channel-id order: a channel between
+    two members stays direct (``LocalChannel``); one that leaves the
+    group buffers frames (``FrameChannel``) for its pipe end in
+    ``out_conns`` / ``in_conns``, keyed by channel id.  With every
+    shard as a member and no pipes, this is the ``shards=1`` reference
+    run.  ``report``
+    receives a :class:`~repro.sim.sharded.ShardWindow` every
+    ``stride`` rounds; inbound frames spin for ``spin`` seconds before
+    a blocking read.
+
+    The payload holds the group's event, round and wire totals and,
+    per member, its message counts, tier stats, latency sketch, fluid
+    aggregates and — front shard only — client requests.
+    """
     sim = Simulator()
     counter = EventCounter()
     sim.attach_hooks(counter)
-    channels: Dict[int, LocalChannel] = {}
-    senders: Dict[int, int] = {}
-    receivers: Dict[int, int] = {}
+    member_set = set(members)
+    out_channels: Dict[int, Dict[int, Any]] = {m: {} for m in members}
+    in_channels: Dict[int, Dict[int, Any]] = {m: {} for m in members}
+    cross_out: Dict[int, FrameChannel] = {}
+    cross_in: Dict[int, FrameChannel] = {}
     for cid, sender, receiver, src, dst in _channel_specs(scenario):
-        channels[cid] = LocalChannel(_make_link(scenario, sim, src, dst), sim)
-        senders[cid] = sender
-        receivers[cid] = receiver
+        if sender in member_set and receiver in member_set:
+            channel: Any = LocalChannel(
+                _make_link(scenario, sim, src, dst), sim
+            )
+            out_channels[sender][cid] = channel
+            in_channels[receiver][cid] = channel
+        elif sender in member_set:
+            channel = FrameChannel(_make_link(scenario, sim, src, dst))
+            out_channels[sender][cid] = channel
+            cross_out[cid] = channel
+        elif receiver in member_set:
+            # Receiver-side shell: carries only the bound handler
+            # (the sender's link computed the delivery timestamps).
+            channel = FrameChannel(None)
+            in_channels[receiver][cid] = channel
+            cross_in[cid] = channel
     domains = [
         _build_domain(
-            scenario,
-            index,
-            sim,
-            {cid: ch for cid, ch in channels.items() if senders[cid] == index},
-            {cid: ch for cid, ch in channels.items() if receivers[cid] == index},
+            scenario, index, sim, out_channels[index], in_channels[index]
         )
-        for index in range(len(scenario.shards))
+        for index in members
     ]
-    with _population_frozen():
-        sim.run(until=scenario.base.duration)
-    results = []
-    for index, domain in enumerate(domains):
-        _finish_front_sketch(domain)
-        sent = sum(
-            ch.sent for cid, ch in channels.items() if senders[cid] == index
-        )
-        received = sum(
-            ch.sent for cid, ch in channels.items() if receivers[cid] == index
-        )
-        results.append(
-            ShardResult(
-                index=index,
-                host=scenario.shards[index].host,
-                tiers=scenario.shards[index].tiers,
-                events=counter.count if index == 0 else 0,
-                windows=0,
+    head = members[0]
+    host = scenario.shards[head].host
+
+    def on_window(win: int, now: float, sent: int, received: int):
+        report(
+            ShardWindow(
+                shard=head,
+                host=host,
+                index=win,
+                now=now,
+                events=counter.count,
                 sent=sent,
                 received=received,
-                tier_stats=_domain_stats(domain),
-                sketch=domain.sketch,
-                fluid=_domain_fluid(domain),
             )
         )
-    front = domains[0]
-    return DatacenterRun(
-        scenario=scenario,
-        shards_used=1,
-        window=scenario.window,
-        shard_results=results,
-        completed=list(front.app.completed),
-        failed=list(front.app.failed),
-        groups=(tuple(range(len(scenario.shards))),),
+
+    def inbound(conn: Any) -> Any:
+        wire = PipeTransport(conn)
+        return SpinReceive(wire, spin) if spin else wire
+
+    out_cids = sorted(cross_out)
+    in_cids = sorted(cross_in)
+    in_rank = {cid: rank for rank, cid in enumerate(in_cids)}
+    runner = ShardRunner(
+        sim,
+        duration=scenario.base.duration,
+        window=window,
+        outgoing=[
+            (PipeTransport(out_conns[cid]), cross_out[cid])
+            for cid in out_cids
+        ],
+        incoming=[
+            (inbound(in_conns[cid]), cross_in[cid]) for cid in in_cids
+        ],
+        on_window=on_window,
+        window_stride=stride,
     )
+    with _population_frozen():
+        runner.run()
+    member_payloads = []
+    for index, domain in zip(members, domains):
+        front = domain.population is not None
+        if front:
+            # The front shard's sketch observes every client response.
+            for request in domain.app.completed:
+                rt = request.response_time
+                if rt is not None:
+                    domain.sketch.observe(rt)
+        received = 0
+        for cid, ch in in_channels[index].items():
+            if cid in in_rank:
+                received += runner.received_per_link[in_rank[cid]]
+            else:
+                received += ch.sent
+        engine = domain.fluid
+        member_payloads.append(
+            {
+                "host": scenario.shards[index].host,
+                "tiers": scenario.shards[index].tiers,
+                "sent": sum(ch.sent for ch in out_channels[index].values()),
+                "received": received,
+                "tier_stats": {
+                    tier.name: (tier.arrivals, tier.completions, tier.drops)
+                    for tier in domain.app.tiers
+                },
+                "sketch": domain.sketch,
+                "fluid": None
+                if engine is None
+                else {
+                    "bulk_users": float(engine.bulk_users),
+                    "completed": engine.completed,
+                    "dropped": engine.dropped,
+                },
+                "completed": list(domain.app.completed) if front else [],
+                "failed": list(domain.app.failed) if front else [],
+            }
+        )
+    return {
+        "events": counter.count,
+        "windows": runner.windows,
+        "frames": runner.frames_sent,
+        "wire_bytes": runner.bytes_sent,
+        "members": member_payloads,
+    }
 
 
 def _worker_main(
@@ -837,12 +828,12 @@ def _worker_main(
     out_conns: Dict[int, Any],
     in_conns: Dict[int, Any],
     result_conn: Any,
-    window_stride: int,
+    stride: int,
     spin: float,
     unused: List[Any],
 ) -> None:
-    """One group worker: build its shard domains, run the exchange
-    loop, ship results.
+    """One group worker: run its group, ship the window reports and
+    the payload.
 
     ``unused`` holds every inherited pipe end that is not this
     worker's; closing them first lets a dead peer reach its neighbours
@@ -851,172 +842,47 @@ def _worker_main(
     for conn in unused:
         conn.close()
     try:
-        sim = Simulator()
-        counter = EventCounter()
-        sim.attach_hooks(counter)
-        member_set = set(members)
-        host = scenario.shards[members[0]].host
-        # Channel construction in global cid order: intra-group
-        # channels stay direct, cross-group channels buffer frames.
-        out_channels: Dict[int, Dict[int, Any]] = {m: {} for m in members}
-        in_channels: Dict[int, Dict[int, Any]] = {m: {} for m in members}
-        cross_out: Dict[int, FrameChannel] = {}
-        cross_in: Dict[int, FrameChannel] = {}
-        for cid, sender, receiver, src, dst in _channel_specs(scenario):
-            if sender in member_set and receiver in member_set:
-                channel: Any = LocalChannel(
-                    _make_link(scenario, sim, src, dst), sim
-                )
-                out_channels[sender][cid] = channel
-                in_channels[receiver][cid] = channel
-            elif sender in member_set:
-                channel = FrameChannel(_make_link(scenario, sim, src, dst))
-                out_channels[sender][cid] = channel
-                cross_out[cid] = channel
-            elif receiver in member_set:
-                # Receiver-side shell: carries only the bound handler
-                # (the sender's link computed the delivery timestamps).
-                channel = FrameChannel(None)
-                in_channels[receiver][cid] = channel
-                cross_in[cid] = channel
-        domains = [
-            _build_domain(
-                scenario, index, sim, out_channels[index], in_channels[index]
-            )
-            for index in members
-        ]
-
-        def on_window(win: int, now: float, sent: int, received: int):
-            result_conn.send(
-                (
-                    "window",
-                    members[0],
-                    host,
-                    win,
-                    now,
-                    counter.count,
-                    sent,
-                    received,
-                )
-            )
-
-        def inbound(conn: Any) -> Any:
-            wire = PipeTransport(conn)
-            return SpinReceive(wire, spin) if spin else wire
-
-        out_cids = sorted(cross_out)
-        in_cids = sorted(cross_in)
-        in_rank = {cid: rank for rank, cid in enumerate(in_cids)}
-        runner = ShardRunner(
-            sim,
-            duration=scenario.base.duration,
-            window=window,
-            outgoing=[
-                (PipeTransport(out_conns[cid]), cross_out[cid])
-                for cid in out_cids
-            ],
-            incoming=[
-                (inbound(in_conns[cid]), cross_in[cid]) for cid in in_cids
-            ],
-            on_window=on_window,
-            window_stride=window_stride,
+        payload = _run_group(
+            scenario,
+            members,
+            window,
+            out_conns,
+            in_conns,
+            lambda report: result_conn.send(("window", report)),
+            stride,
+            spin,
         )
-        with _population_frozen():
-            runner.run()
-        # The worker exits once its results are shipped: spare it the
-        # full collections over the just-unfrozen world that building
-        # and pickling them would otherwise trigger.
+        # The worker exits once its payload is shipped: spare it the
+        # full collections over the just-unfrozen world that pickling
+        # the payload would otherwise trigger.
         gc.disable()
-        member_payloads = []
-        for position, index in enumerate(members):
-            domain = domains[position]
-            _finish_front_sketch(domain)
-            sent = sum(ch.sent for ch in out_channels[index].values())
-            received = 0
-            for cid, ch in in_channels[index].items():
-                if cid in in_rank:
-                    received += runner.received_per_link[in_rank[cid]]
-                else:
-                    received += ch.sent
-            front = domain.population is not None
-            member_payloads.append(
-                {
-                    "host": scenario.shards[index].host,
-                    "tiers": scenario.shards[index].tiers,
-                    "sent": sent,
-                    "received": received,
-                    "tier_stats": _domain_stats(domain),
-                    "sketch": domain.sketch,
-                    "fluid": _domain_fluid(domain),
-                    "completed": list(domain.app.completed) if front else [],
-                    "failed": list(domain.app.failed) if front else [],
-                }
-            )
-        result_conn.send(
-            (
-                "done",
-                members[0],
-                {
-                    "events": counter.count,
-                    "windows": runner.windows,
-                    "frames": runner.frames_sent,
-                    "wire_bytes": runner.bytes_sent,
-                    "members": member_payloads,
-                },
-            )
-        )
+        result_conn.send(("done", payload))
     except BaseException:
-        result_conn.send(("error", members[0], traceback.format_exc()))
+        result_conn.send(("error", traceback.format_exc()))
 
 
-def run_datacenter(
+def _spawn(
     scenario: DatacenterScenario,
-    shards: Optional[int] = None,
-    progress: Optional[Callable[[ShardWindow], None]] = None,
-    bus: Any = None,
-    window_stride: Optional[int] = None,
-) -> DatacenterRun:
-    """Execute a datacenter scenario.
+    groups: List[List[int]],
+    group_of: Dict[int, int],
+    window: float,
+    stride: int,
+) -> Tuple[List[Any], List[Any]]:
+    """Fork one worker per group; return (workers, result pipe ends).
 
-    ``shards=1`` runs the unsharded reference (one simulator);
-    ``shards=K`` for ``2 <= K <= n`` runs ``K`` worker processes over
-    the shard groups :func:`_partition` picks — balanced by traffic
-    weight, cut at the widest links, not necessarily contiguous
-    (``K = n``, the default, is one worker per host), exchanging
-    pickled frames in lock-step windows — byte-identical to the
-    reference.  ``progress`` and/or ``bus`` receive
-    :class:`~repro.sim.sharded.ShardWindow` reports — the bus on topic
-    ``"shard.window"`` — throttled to roughly one per group per
-    simulated second (override with ``window_stride``).  A worker that
-    dies raises :class:`RuntimeError` naming its shards.
+    One pipe per cross-group channel, its endpoints handed to the two
+    workers; one result pipe per worker back to the coordinator.
+    Every pipe exists before the first fork, so each process can close
+    exactly the ends it does not own.
     """
-    n = len(scenario.shards)
-    if shards is None:
-        shards = n
-    if shards == 1:
-        return _run_single(scenario, progress, bus)
-    if not 1 <= shards <= n:
-        raise ValueError(
-            f"{scenario.name} has {n} shards; run with 1 <= shards <= "
-            f"{n}, got {shards}"
-        )
-    groups = _partition(scenario, shards)
-    group_of = {
-        index: g for g, members in enumerate(groups) for index in members
-    }
-    window = _group_window(scenario, group_of)
-    stride = window_stride or _default_stride(scenario)
-    spin = spin_seconds(shards)
+    spin = spin_seconds(len(groups))
     ctx = mp.get_context("fork")
-    # One pipe per cross-group channel, endpoints handed to the two
-    # workers; one result pipe per worker back to the coordinator.
-    # Every pipe exists before the first fork, so each process can
-    # close exactly the ends it does not own.
     chan_recv: Dict[int, Any] = {}
     chan_send: Dict[int, Any] = {}
-    specs = _channel_specs(scenario)
     cross = [
-        spec for spec in specs if group_of[spec[1]] != group_of[spec[2]]
+        spec
+        for spec in _channel_specs(scenario)
+        if group_of[spec[1]] != group_of[spec[2]]
     ]
     for cid, _, _, _, _ in cross:
         chan_recv[cid], chan_send[cid] = ctx.Pipe(duplex=False)
@@ -1060,15 +926,66 @@ def run_datacenter(
         workers.append(worker)
     for conn in worker_ends:
         conn.close()
+    return workers, [parent for parent, _ in result_pipes]
 
-    payloads = _collect(
-        scenario, groups, workers, [p for p, _ in result_pipes], progress, bus
-    )
+
+def run_datacenter(
+    scenario: DatacenterScenario,
+    shards: Optional[int] = None,
+    progress: Optional[Callable[[ShardWindow], None]] = None,
+    bus: Any = None,
+    window_stride: Optional[int] = None,
+) -> DatacenterRun:
+    """Execute a datacenter scenario.
+
+    ``shards=1`` runs the reference: every shard as one group in
+    process, on the same window loop as a worker.  ``shards=K`` for
+    ``2 <= K <= n`` runs ``K`` worker processes over the shard groups
+    :func:`_partition` picks — balanced by traffic weight, cut at the
+    widest links, not necessarily contiguous (``K = n``, the default,
+    is one worker per host), exchanging pickled frames in lock-step
+    windows — byte-identical to the reference.  Every mode runs
+    ``ceil(duration / window)`` rounds.  ``progress`` and/or ``bus``
+    receive :class:`~repro.sim.sharded.ShardWindow` reports — the bus
+    on topic ``"shard.window"`` — throttled to roughly one per group
+    per simulated second (override with ``window_stride``).  A worker
+    that dies raises :class:`RuntimeError` naming its shards.
+    """
+    n = len(scenario.shards)
+    if shards is None:
+        shards = n
+    if not 1 <= shards <= n:
+        raise ValueError(
+            f"{scenario.name} has {n} shards; run with 1 <= shards <= "
+            f"{n}, got {shards}"
+        )
+    groups = _partition(scenario, shards)
+    stride = window_stride or _default_stride(scenario)
+
+    def report(window: ShardWindow) -> None:
+        if bus is not None:
+            bus.publish("shard.window", window)
+        if progress is not None:
+            progress(window)
+
+    if shards == 1:
+        window = scenario.window
+        payloads = [
+            _run_group(
+                scenario, groups[0], window, {}, {}, report, stride, 0.0
+            )
+        ]
+    else:
+        group_of = {
+            index: g for g, members in enumerate(groups) for index in members
+        }
+        window = _group_window(scenario, group_of)
+        workers, conns = _spawn(scenario, groups, group_of, window, stride)
+        payloads = _collect(scenario, groups, workers, conns, report)
     results: List[ShardResult] = []
     completed: List[Request] = []
     failed: List[Request] = []
-    for members in groups:
-        payload = payloads[members[0]]
+    for members, payload in zip(groups, payloads):
         for position, index in enumerate(members):
             member = payload["members"][position]
             first = position == 0
@@ -1114,10 +1031,10 @@ def _collect(
     groups: List[List[int]],
     workers: List[Any],
     result_conns: List[Any],
-    progress: Optional[Callable[[ShardWindow], None]],
-    bus: Any,
-) -> Dict[int, dict]:
-    """Coordinator loop: forward progress, gather every group's results.
+    report: Callable[[ShardWindow], None],
+) -> List[dict]:
+    """Coordinator loop: forward window reports, gather every group's
+    payload (in group order).
 
     Waits on each worker's result pipe *and* its process sentinel, so
     a worker killed without reporting is noticed at once.  On the
@@ -1144,7 +1061,7 @@ def _collect(
         if manage_gc:
             gc.disable()
         try:
-            message = result_conns[g].recv()
+            kind, body = result_conns[g].recv()
         except EOFError:
             workers[g].join(_FAILURE_GRACE)
             dead.append(
@@ -1156,27 +1073,13 @@ def _collect(
         finally:
             if manage_gc:
                 gc.enable()
-        kind = message[0]
         if kind == "window":
-            _, idx, host, win, now, events, sent, received = message
-            report = ShardWindow(
-                shard=idx,
-                host=host,
-                index=win,
-                now=now,
-                events=events,
-                sent=sent,
-                received=received,
-            )
-            if bus is not None:
-                bus.publish("shard.window", report)
-            if progress is not None:
-                progress(report)
+            report(body)
         elif kind == "done":
-            payloads[message[1]] = message[2]
+            payloads[g] = body
             del pending[g]
         else:  # "error"
-            errors.append(f"{label(g)} raised:\n{message[2]}")
+            errors.append(f"{label(g)} raised:\n{body}")
             del pending[g]
 
     try:
@@ -1213,7 +1116,7 @@ def _collect(
         raise RuntimeError(
             "sharded run failed:\n" + "\n".join(dead + errors + stalled)
         )
-    return payloads
+    return [payloads[g] for g in range(len(groups))]
 
 
 #: Two hosts in two racks across the spine: apache+tomcat face the

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import gc
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..cloud.platform import CloudDeployment, DeploymentConfig, TierConfig, rubbos_3tier
 from ..core.attack import MemCAAttack
@@ -31,7 +31,7 @@ from ..obs import LiveTelemetry, TelemetryConfig
 from ..ntier.request import Request
 from ..ntier.client import UserPopulation
 from ..sim.core import Simulator
-from ..sim.hybrid import FluidEngine, FluidTier, HybridConfig, fluid_tiers_for
+from ..sim.hybrid import FluidEngine, HybridConfig, fluid_tiers_for
 from ..sim.rng import RandomStreams
 from ..workload.generator import OpenLoopGenerator, exponential_request_factory
 from ..workload.rubbos import RubbosWorkload
@@ -44,8 +44,11 @@ __all__ = [
     "ModelRun",
     "run_model",
     "MODEL_MODES",
+    "deployment_config",
+    "launch_attack",
     "make_attack_program",
     "split_attack_program",
+    "start_fluid",
 ]
 
 
@@ -74,9 +77,7 @@ def _population_frozen():
 
 
 def make_attack_program(
-    spec: AttackSpec,
-    host_bandwidth_mbps: float,
-    nic_rate_pps: Optional[float] = None,
+    spec: AttackSpec, host_bandwidth_mbps: float
 ) -> AttackProgram:
     """Instantiate the attack program a spec names."""
     if spec.program == "lock":
@@ -88,8 +89,6 @@ def make_attack_program(
     if spec.program == "cleanse":
         return LLCCleansingAttack()
     if spec.program == "nic":
-        if nic_rate_pps is not None:
-            return NicSaturation(line_rate_pps=nic_rate_pps)
         return NicSaturation()
     raise ValueError(f"unknown attack program {spec.program!r}")
 
@@ -110,6 +109,88 @@ def split_attack_program(program: str) -> Tuple[Optional[str], bool]:
             f"at most one memory program per spec: {program!r}"
         )
     return (memory[0] if memory else None), wants_nic
+
+
+# -- world-building steps shared with the datacenter shard builder ---------
+
+
+def deployment_config(scenario: RubbosScenario) -> DeploymentConfig:
+    """The full three-tier deployment config a scenario describes."""
+    return rubbos_3tier(
+        apache_threads=scenario.apache_threads,
+        apache_backlog=scenario.apache_backlog,
+        tomcat_threads=scenario.tomcat_threads,
+        mysql_connections=scenario.mysql_connections,
+        host_spec=scenario.host_spec,
+        vcpus=scenario.tier_vcpus,
+    )
+
+
+def launch_attack(
+    sim: Simulator,
+    deployment: CloudDeployment,
+    scenario: RubbosScenario,
+    mem_program: str,
+    streams: RandomStreams,
+) -> MemCAAttack:
+    """Launch the scenario's memory attack as ``mem_program``.
+
+    ``mem_program`` is the memory half of the spec's program string
+    (:func:`split_attack_program`); the attack draws from the
+    ``"attack"`` substream of ``streams``.
+    """
+    spec = scenario.attack
+    program = make_attack_program(
+        replace(spec, program=mem_program),
+        scenario.host_spec.mem_bandwidth_mbps,
+    )
+    attack = MemCAAttack(
+        sim,
+        deployment,
+        program=program,
+        length=spec.length,
+        interval=spec.interval,
+        intensity=spec.intensity,
+        adversaries=spec.adversaries,
+        target_tier=spec.target_tier,
+        jitter=spec.jitter,
+        rng=streams.get("attack"),
+        monitor_interval=scenario.monitor_interval,
+    )
+    attack.launch()
+    return attack
+
+
+def start_fluid(
+    sim: Simulator,
+    deployment: CloudDeployment,
+    users: int,
+    think_time: float,
+    config: HybridConfig,
+    bus: Optional[Any] = None,
+) -> FluidEngine:
+    """Build and start a fluid bulk of ``users`` over ``deployment``.
+
+    The bulk's mean demands come from the workload model, not a random
+    stream — RNG-free, so the engine never perturbs the discrete
+    substreams.  The engine re-steps exactly on attack ON/OFF edges:
+    it watches each memory after the deployment wired the VMs, so its
+    callback runs last and steps with the pre-change speeds it cached.
+    """
+    fluid = FluidEngine(
+        sim,
+        tiers=fluid_tiers_for(
+            deployment.app.tiers, RubbosWorkload().mean_demand
+        ),
+        bulk_users=users,
+        think_time=think_time,
+        config=config,
+        bus=bus,
+    )
+    for memory in deployment.memories.values():
+        fluid.watch(memory)
+    fluid.start()
+    return fluid
 
 
 @dataclass
@@ -183,17 +264,7 @@ def run_rubbos(
         hybrid = scenario.hybrid
     streams = RandomStreams(scenario.seed)
     sim = Simulator()
-    deployment = CloudDeployment(
-        sim,
-        rubbos_3tier(
-            apache_threads=scenario.apache_threads,
-            apache_backlog=scenario.apache_backlog,
-            tomcat_threads=scenario.tomcat_threads,
-            mysql_connections=scenario.mysql_connections,
-            host_spec=scenario.host_spec,
-            vcpus=scenario.tier_vcpus,
-        ),
-    )
+    deployment = CloudDeployment(sim, deployment_config(scenario))
     live = None
     if telemetry is not None:
         live = LiveTelemetry(telemetry)
@@ -214,22 +285,14 @@ def run_rubbos(
         discrete_users = split.sampled
         weight = split.weight
         if split.bulk > 0:
-            fluid = FluidEngine(
+            fluid = start_fluid(
                 sim,
-                tiers=fluid_tiers_for(
-                    deployment.app.tiers, workload.mean_demand
-                ),
-                bulk_users=split.bulk,
-                think_time=scenario.think_time,
-                config=hybrid,
+                deployment,
+                split.bulk,
+                scenario.think_time,
+                hybrid,
                 bus=live.bus if live is not None else None,
             )
-            # Re-step exactly on attack ON/OFF edges.  Registered after
-            # the deployment wired the VMs, so the engine's callback
-            # runs last and steps with the pre-change speeds it cached.
-            for memory in deployment.memories.values():
-                fluid.watch(memory)
-            fluid.start()
     else:
         discrete_users = scenario.users
         weight = 1.0
@@ -288,32 +351,9 @@ def run_rubbos(
         spec = scenario.attack
         mem_program, wants_nic = split_attack_program(spec.program)
         if mem_program is not None:
-            program = make_attack_program(
-                AttackSpec(
-                    program=mem_program,
-                    length=spec.length,
-                    interval=spec.interval,
-                    intensity=spec.intensity,
-                    jitter=spec.jitter,
-                    adversaries=spec.adversaries,
-                    target_tier=spec.target_tier,
-                ),
-                scenario.host_spec.mem_bandwidth_mbps,
+            attack = launch_attack(
+                sim, deployment, scenario, mem_program, streams
             )
-            attack = MemCAAttack(
-                sim,
-                deployment,
-                program=program,
-                length=spec.length,
-                interval=spec.interval,
-                intensity=spec.intensity,
-                adversaries=spec.adversaries,
-                target_tier=spec.target_tier,
-                jitter=spec.jitter,
-                rng=streams.get("attack"),
-                monitor_interval=scenario.monitor_interval,
-            )
-            attack.launch()
             if feedback_goals is not None:
                 attack.enable_feedback(
                     workload.make_request,

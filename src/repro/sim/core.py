@@ -338,10 +338,8 @@ class Process(Event):
             # then finished on the earlier wakeup.  Resuming would throw
             # into a closed generator; there is nothing left to advance.
             return
-        sim = self.sim
         generator = self._generator
         presume = self._presume
-        sim._active_process = self
         while True:
             try:
                 if event is None or event._ok:
@@ -351,11 +349,9 @@ class Process(Event):
                     event._defused = True
                     target = generator.throw(event._value)
             except StopIteration as stop:
-                sim._active_process = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
-                sim._active_process = None
                 self.fail(exc)
                 return
 
@@ -369,14 +365,12 @@ class Process(Event):
             if callbacks is not None:
                 callbacks.append(presume)
                 self._target = target
-                sim._active_process = None
                 return
             if isinstance(target, Event):
                 # Already triggered and processed: resume synchronously.
                 event = target
                 continue
 
-            sim._active_process = None
             exc = SimulationError(
                 f"process yielded a non-event: {target!r}"
             )
@@ -483,7 +477,6 @@ class Simulator:
         "_active_pos",
         "_timed_count",
         "_spill",
-        "_active_process",
         "_hooks",
         "_hook_stride",
         "_hook_countdown",
@@ -521,7 +514,6 @@ class Simulator:
         self._timed_count = 0
         #: Far-future timed entries, beyond the current wheel window.
         self._spill: List[tuple] = []
-        self._active_process: Optional[Process] = None
         self._hooks: Optional[Any] = None
         self._hook_stride = 1
         self._hook_countdown = 1
@@ -530,11 +522,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     @property
     def pending_events(self) -> int:
@@ -550,20 +537,6 @@ class Simulator:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def timeout_batch(
-        self, delays: Iterable[float], value: Any = None
-    ) -> List[Timeout]:
-        """Create one timeout per delay, scheduled back-to-back.
-
-        Equivalent to ``[sim.timeout(d, value) for d in delays]`` — the
-        timeouts receive consecutive sequence numbers, so relative FIFO
-        order among them (and against everything else) is identical to
-        the loop form.  Exists so synchronized fan-outs (population
-        start staggering, lock-step burst edges) have one audited
-        batching point.
-        """
-        return [Timeout(self, d, value) for d in delays]
 
     def process(self, generator: Generator) -> Process:
         """Start a new :class:`Process` driving ``generator``."""
@@ -693,13 +666,6 @@ class Simulator:
         self.defer_at(time, fn)
 
     # -- scheduling / main loop ----------------------------------------
-
-    def _schedule(self, event: Event, time: float, priority: int) -> None:
-        """Back-compat shim: route an entry to the right queue."""
-        if priority == URGENT:
-            self._imm.append(event)
-        else:
-            self._push_timed(time, event)
 
     def _push_timed(self, time: float, obj: Any) -> None:
         """Enqueue ``obj`` at absolute ``time`` (NORMAL priority).

@@ -134,14 +134,23 @@ class TestDatacenterCli:
         assert "window=12.02ms" in line
         assert line.endswith("groups [h1,h2] [h3,h4]")
 
-    def test_monitor_shows_one_column_per_group(self, capsys):
+    @pytest.mark.parametrize(
+        "shards, columns",
+        [("1", ["h1+h3+h2+h4"]), ("2", ["h1+h2", "h3+h4"])],
+        ids=["1", "2"],
+    )
+    def test_monitor_shows_one_column_per_group(
+        self, capsys, shards, columns
+    ):
         assert main(
-            ["monitor", "dc-4host", "--shards", "2", *self.DC_ARGS]
+            ["monitor", "dc-4host", "--shards", shards, *self.DC_ARGS]
         ) == 0
         out = capsys.readouterr().out
-        assert "h1+h2" in out and "h3+h4" in out
+        assert all(column in out for column in columns)
         rows = [row for row in out.splitlines() if "ev=" in row]
-        assert rows and all(row.count("ev=") == 2 for row in rows)
+        assert rows and all(
+            row.count("ev=") == len(columns) for row in rows
+        )
 
     def test_shards_rejects_non_integer(self, capsys):
         with pytest.raises(SystemExit):

@@ -32,6 +32,7 @@ from repro.experiments.datacenter import (
     DC_16HOST,
     DatacenterScenario,
     ShardSpec,
+    _channel_specs,
     _group_window,
     _partition,
     _shard_weights,
@@ -489,8 +490,10 @@ class TestDatacenterScenarioValidation:
         edges4, replicas4 = DC_4HOST.layout()
         assert [e.tier for e in edges4] == ["tomcat", "mysql", "mysql"]
         assert replicas4 == (2, 3)
+        pairs = [(src, dst) for _, _, _, src, dst in _channel_specs(DC_2HOST)]
+        assert pairs == [("h1", "h2"), ("h2", "h1")]
         assert DC_2HOST.window == pytest.approx(
-            DC_2HOST.topology.min_lookahead(DC_2HOST.channel_pairs())
+            DC_2HOST.topology.min_lookahead(pairs)
         )
 
     def test_needs_at_least_two_shards(self):
