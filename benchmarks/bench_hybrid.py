@@ -28,7 +28,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_hybrid.py --quick --check  # CI
 
 Results land in ``benchmarks/results/BENCH_hybrid.json`` (or
-``BENCH_hybrid_quick.json`` with ``--quick``).
+``BENCH_hybrid_quick.json`` with ``--quick``); a ``--check`` run writes
+only to ``--out``, if given.
 """
 
 from __future__ import annotations
@@ -266,17 +267,22 @@ def main() -> int:
         f"{scale['speedup_vs_extrapolated']:.0f}x speedup"
     )
 
-    out = args.out or os.path.join(
-        RESULTS_DIR,
-        "BENCH_hybrid_quick.json" if args.quick else "BENCH_hybrid.json",
-    )
-    out_dir = os.path.dirname(out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out}")
+    # A gate run leaves the committed results alone: it writes only
+    # where ``--out`` points.
+    out = args.out
+    if out is None and not args.check:
+        out = os.path.join(
+            RESULTS_DIR,
+            "BENCH_hybrid_quick.json" if args.quick else "BENCH_hybrid.json",
+        )
+    if out is not None:
+        out_dir = os.path.dirname(out)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {out}")
 
     if args.check:
         failed = False

@@ -28,7 +28,8 @@ noise-free determinism/accounting gate (any change to the event
 schedule shifts it).
 
 Results land in ``benchmarks/results/BENCH_kernel.json`` (or
-``BENCH_kernel_quick.json`` with ``--quick``).
+``BENCH_kernel_quick.json`` with ``--quick``); a ``--check`` run writes
+only to ``--out``, if given.
 """
 
 from __future__ import annotations
@@ -172,6 +173,7 @@ def main() -> int:
         "quick": args.quick,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
         "users": users,
         "sim_seconds": duration,
         "scenarios": {},
@@ -196,17 +198,22 @@ def main() -> int:
             line += f"  [{speedup:.2f}x vs pre-PR {ref['wall_seconds']:.2f}s]"
         print(line)
 
-    out = args.out or os.path.join(
-        RESULTS_DIR,
-        "BENCH_kernel_quick.json" if args.quick else "BENCH_kernel.json",
-    )
-    out_dir = os.path.dirname(out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out}")
+    # A gate run leaves the committed results alone: it writes only
+    # where ``--out`` points.
+    out = args.out
+    if out is None and not args.check:
+        out = os.path.join(
+            RESULTS_DIR,
+            "BENCH_kernel_quick.json" if args.quick else "BENCH_kernel.json",
+        )
+    if out is not None:
+        out_dir = os.path.dirname(out)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {out}")
 
     if args.check:
         failed = False

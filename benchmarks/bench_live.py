@@ -35,7 +35,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_live.py --quick --check  # CI
 
 Results land in ``benchmarks/results/BENCH_live.json`` (or
-``BENCH_live_quick.json`` with ``--quick``).
+``BENCH_live_quick.json`` with ``--quick``); a ``--check`` run writes
+only to ``--out``, if given.
 """
 
 from __future__ import annotations
@@ -242,6 +243,7 @@ def main() -> int:
         "quick": args.quick,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
     }
 
     accuracy = bench_accuracy(args.quick)
@@ -293,17 +295,22 @@ def main() -> int:
             + (f"{first:.2f}s" if first is not None else "never")
         )
 
-    out = args.out or os.path.join(
-        RESULTS_DIR,
-        "BENCH_live_quick.json" if args.quick else "BENCH_live.json",
-    )
-    out_dir = os.path.dirname(out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out}")
+    # A gate run leaves the committed results alone: it writes only
+    # where ``--out`` points.
+    out = args.out
+    if out is None and not args.check:
+        out = os.path.join(
+            RESULTS_DIR,
+            "BENCH_live_quick.json" if args.quick else "BENCH_live.json",
+        )
+    if out is not None:
+        out_dir = os.path.dirname(out)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {out}")
 
     if args.check:
         failed = False

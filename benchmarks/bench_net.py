@@ -25,7 +25,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_net.py --quick --check  # CI
 
 Results land in ``benchmarks/results/BENCH_net.json`` (or
-``BENCH_net_quick.json`` with ``--quick``).
+``BENCH_net_quick.json`` with ``--quick``); a ``--check`` run writes
+only to ``--out``, if given.
 """
 
 from __future__ import annotations
@@ -223,17 +224,22 @@ def main() -> int:
         f"({amplification['dispersion_amplification']:.1f}x)"
     )
 
-    out = args.out or os.path.join(
-        RESULTS_DIR,
-        "BENCH_net_quick.json" if args.quick else "BENCH_net.json",
-    )
-    out_dir = os.path.dirname(out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out}")
+    # A gate run leaves the committed results alone: it writes only
+    # where ``--out`` points.
+    out = args.out
+    if out is None and not args.check:
+        out = os.path.join(
+            RESULTS_DIR,
+            "BENCH_net_quick.json" if args.quick else "BENCH_net.json",
+        )
+    if out is not None:
+        out_dir = os.path.dirname(out)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {out}")
 
     if args.check:
         failed = False

@@ -35,7 +35,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_shard.py --quick --check  # CI
 
 Results land in ``benchmarks/results/BENCH_shard.json`` (or
-``BENCH_shard_quick.json`` with ``--quick``).
+``BENCH_shard_quick.json`` with ``--quick``); a ``--check`` run writes
+only to ``--out``, if given.
 """
 
 from __future__ import annotations
@@ -284,17 +285,22 @@ def main() -> int:
             f"sketch={hybrid['identity']['latency_sketch']}"
         )
 
-    out = args.out or os.path.join(
-        RESULTS_DIR,
-        "BENCH_shard_quick.json" if args.quick else "BENCH_shard.json",
-    )
-    out_dir = os.path.dirname(out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {out}")
+    # A gate run leaves the committed results alone: it writes only
+    # where ``--out`` points.
+    out = args.out
+    if out is None and not args.check:
+        out = os.path.join(
+            RESULTS_DIR,
+            "BENCH_shard_quick.json" if args.quick else "BENCH_shard.json",
+        )
+    if out is not None:
+        out_dir = os.path.dirname(out)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
+        print(f"wrote {out}")
 
     if args.check:
         failed = False
@@ -360,9 +366,10 @@ def main() -> int:
                 f"floor {floor:g}x, measured {speedup:.2f}x"
             )
         # Re-write the JSON so the speedup fields land in it too.
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        if out is not None:
+            with open(out, "w") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
         if failed:
             return 1
     return 0

@@ -441,13 +441,12 @@ def _run_trace(args) -> int:
     )
     if args.profile:
         _print_kernel_profile(live.kernel, scenario.duration)
-    snapshot = live.metrics.snapshot()
-    rt = snapshot.get("response_time")
-    if rt and rt.get("count"):
+    rt = live.tracer.response_times.snapshot()
+    if rt["count"]:
         print(
             f"response time: count={rt['count']} "
-            f"mean={rt['mean']:.3f}s p95={rt['p95']:.3f}s "
-            f"p99={rt['p99']:.3f}s"
+            f"mean={rt['mean']:.3f}s p50={rt['p50']:.3f}s "
+            f"p99={rt['p99']:.3f}s p99.9={rt['p99.9']:.3f}s"
         )
     print(f"[trace {args.scenario} done in {time.time() - started:.1f}s]")
     return 0

@@ -672,9 +672,10 @@ class DatacenterRun:
         return tuple(totals)
 
 
-def _default_stride(scenario: DatacenterScenario) -> int:
-    """Progress roughly once per simulated second."""
-    return max(1, int(round(1.0 / scenario.window)))
+def _default_stride(window: float) -> int:
+    """Rounds of ``window`` seconds between progress reports: roughly
+    one report per simulated second."""
+    return max(1, int(round(1.0 / window)))
 
 
 def _run_group(
@@ -738,7 +739,24 @@ def _run_group(
     head = members[0]
     host = scenario.shards[head].host
 
-    def on_window(win: int, now: float, sent: int, received: int):
+    def traffic(index: int) -> Tuple[int, int]:
+        """Messages member ``index`` has sent / received so far.
+
+        A direct channel counts on both sides at send; a cross-group
+        one counts at send and when its frame arrives."""
+        sent = sum(ch.sent for ch in out_channels[index].values())
+        received = 0
+        for cid, ch in in_channels[index].items():
+            if cid in in_rank:
+                received += runner.received_per_link[in_rank[cid]]
+            else:
+                received += ch.sent
+        return sent, received
+
+    def on_window(win: int, now: float):
+        totals = [traffic(index) for index in members]
+        sent = sum(s for s, _ in totals)
+        received = sum(r for _, r in totals)
         report(
             ShardWindow(
                 shard=head,
@@ -783,18 +801,13 @@ def _run_group(
                 rt = request.response_time
                 if rt is not None:
                     domain.sketch.observe(rt)
-        received = 0
-        for cid, ch in in_channels[index].items():
-            if cid in in_rank:
-                received += runner.received_per_link[in_rank[cid]]
-            else:
-                received += ch.sent
+        sent, received = traffic(index)
         engine = domain.fluid
         member_payloads.append(
             {
                 "host": scenario.shards[index].host,
                 "tiers": scenario.shards[index].tiers,
-                "sent": sum(ch.sent for ch in out_channels[index].values()),
+                "sent": sent,
                 "received": received,
                 "tier_stats": {
                     tier.name: (tier.arrivals, tier.completions, tier.drops)
@@ -960,7 +973,6 @@ def run_datacenter(
             f"{n}, got {shards}"
         )
     groups = _partition(scenario, shards)
-    stride = window_stride or _default_stride(scenario)
 
     def report(window: ShardWindow) -> None:
         if bus is not None:
@@ -970,6 +982,7 @@ def run_datacenter(
 
     if shards == 1:
         window = scenario.window
+        stride = window_stride or _default_stride(window)
         payloads = [
             _run_group(
                 scenario, groups[0], window, {}, {}, report, stride, 0.0
@@ -980,6 +993,7 @@ def run_datacenter(
             index: g for g, members in enumerate(groups) for index in members
         }
         window = _group_window(scenario, group_of)
+        stride = window_stride or _default_stride(window)
         workers, conns = _spawn(scenario, groups, group_of, window, stride)
         payloads = _collect(scenario, groups, workers, conns, report)
     results: List[ShardResult] = []

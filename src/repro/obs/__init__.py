@@ -9,8 +9,11 @@ The subsystem has three legs (see DESIGN.md "Observability"):
   slices (with effective-speed annotations), and inter-tier network
   hops.
 * **Metrics + event bus** (:mod:`repro.obs.metrics`,
-  :mod:`repro.obs.bus`) — counters/gauges/streaming percentile
-  sketches plus a pub/sub fabric for request lifecycle events.
+  :mod:`repro.obs.bus`) — counters, gauges and histograms plus a
+  pub/sub fabric for request lifecycle events.  Every histogram, window
+  sketch and tail threshold is one estimator,
+  :class:`~repro.obs.sketch.LogHistogram` (1% relative error by
+  default, mergeable).
 * **Kernel self-profiling** (:class:`~repro.obs.bus.KernelProfiler`)
   — events dispatched, heap depth, wall-time per sim-second via the
   simulator's hook slot.
@@ -26,8 +29,8 @@ from __future__ import annotations
 
 from .bus import EventBus, KernelProfiler
 from .columnar import SPAN_DTYPE, ColumnarTrace, SpanStore
-from .metrics import Counter, Gauge, MetricsRegistry, StreamingHistogram
-from .sketch import LogHistogram, P2Quantile
+from .metrics import Counter, Gauge, MetricsRegistry
+from .sketch import LogHistogram
 from .span import LEAF_KINDS, SPAN_KINDS, Span
 from .streaming import (
     FULL_TRACE,
@@ -54,12 +57,10 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
-    "P2Quantile",
     "SPAN_DTYPE",
     "SPAN_KINDS",
     "Span",
     "SpanStore",
-    "StreamingHistogram",
     "TailSloDetector",
     "TelemetryConfig",
     "TelemetryPipeline",

@@ -14,13 +14,14 @@ with it off (pinned in ``tests/test_determinism.py``):
   (spans stage as cheap columnar rows) but *retains* only (a) a
   budget-controlled base sample, whose stride re-tunes itself each
   window to hit ``trace_budget_per_window`` retained traces, and
-  (b) every request whose response time reaches the current streaming
-  P99 estimate (a :class:`~repro.obs.sketch.P2Quantile` updated per
-  completion), which is *promoted* to full-trace retention regardless
-  of budget.  Promotion invariant: retained traces = base budget +
-  promoted tail + in-flight, so memory stays bounded by budget and
-  population while every tail request above the running P99 keeps its
-  full span tree.
+  (b) every request whose response time reaches the P99 of all
+  completions so far, which is *promoted* to full-trace retention
+  regardless of budget.  The threshold is read from the tracer's
+  run-cumulative :class:`~repro.obs.sketch.LogHistogram` once per
+  window, so it lags the stream by at most one window.  Promotion
+  invariant: retained traces = base budget + promoted tail +
+  in-flight, so memory stays bounded by budget and population while
+  every tail request above the P99 keeps its full span tree.
 * :class:`TelemetryPipeline` — tumbling-window quantile sketches
   (:class:`~repro.obs.sketch.LogHistogram`, O(1) memory per window,
   mergeable) for end-to-end and per-tier latency, exposing live
@@ -51,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .bus import EventBus, KernelProfiler
 from .columnar import ColumnarTrace, SpanStore
 from .metrics import MetricsRegistry
-from .sketch import LogHistogram, P2Quantile
+from .sketch import LogHistogram
 
 __all__ = [
     "FULL_TRACE",
@@ -87,8 +88,9 @@ class TelemetryConfig:
     #: the stride each window to hit it.  None pins the stride at
     #: ``base_sample_every`` (the fixed 1/64 budget of the benchmark).
     trace_budget_per_window: Optional[int] = 8
-    #: Quantile (percentile units) whose running estimate is the
-    #: promotion threshold: any completion at/above it keeps its trace.
+    #: Quantile (percentile units) whose estimate, refreshed at each
+    #: window rollover, is the promotion threshold: any completion
+    #: at/above it keeps its trace.
     promote_quantile: float = 99.0
     #: Completions needed before the promotion threshold arms.
     min_promote_samples: int = 100
@@ -149,7 +151,8 @@ class AdaptiveTracer:
       retained base rate tracks the configured budget whatever the
       offered load does;
     * **promoted** — any request whose response time reaches the
-      current streaming P99 estimate (plus every failed request: the
+      :attr:`threshold`, the ``promote_quantile`` of every completion
+      up to the last window rollover (plus every failed request: the
       give-up path *is* the extreme tail).  Promotion ignores the
       budget by design — under attack the tail inflates and the
       retained trace rate rises with it, which is exactly the signal
@@ -177,9 +180,10 @@ class AdaptiveTracer:
         #: Retained traces, in finish order.
         self.store = SpanStore()
         self.stride = config.base_sample_every
-        #: Running P99 (or configured quantile) estimator — the
-        #: promotion threshold once ``min_promote_samples`` arrive.
-        self.p2 = P2Quantile(config.promote_quantile / 100.0)
+        #: The promotion threshold: ``promote_quantile`` of completed
+        #: response times as of the last window rollover, None until
+        #: ``min_promote_samples`` completions have arrived.
+        self.threshold: Optional[float] = None
         self.base_retained = 0
         self.promoted = 0
         self.discarded = 0
@@ -194,17 +198,13 @@ class AdaptiveTracer:
         self._c_dropped = metrics.counter("requests.dropped")
         self._c_retransmitted = metrics.counter("requests.retransmitted")
         self._c_tcp_retrans = metrics.counter("tcp.retransmissions")
-        self._h_response_time = metrics.histogram("response_time")
+        #: Completed response times; the ``response_time`` metric.
+        self.response_times = metrics.histogram(
+            "response_time", config.accuracy
+        )
         self._c_base = metrics.counter("telemetry.base_retained")
         self._c_promoted = metrics.counter("telemetry.promoted")
         self._c_discarded = metrics.counter("telemetry.discarded")
-
-    @property
-    def threshold(self) -> Optional[float]:
-        """The armed promotion threshold (None while warming up)."""
-        if self.p2.count < self.config.min_promote_samples:
-            return None
-        return self.p2.estimate
 
     def begin_trace(self, request) -> ColumnarTrace:
         """Adopt *every* request; retention is decided at finish."""
@@ -252,22 +252,28 @@ class AdaptiveTracer:
             self._c_completed.inc()
             topic = "request.completed"
             if rt is not None:
-                self.p2.observe(rt)
-                self._h_response_time.observe(rt)
+                self.response_times.observe(rt)
         if request.attempts > 1:
             self._c_retransmitted.inc()
             self._c_tcp_retrans.inc(request.attempts - 1)
         self.bus.publish(topic, request)
 
     def _retune(self, now: float) -> None:
-        """Window rollover: adapt the base stride to the budget."""
-        budget = self.config.trace_budget_per_window
+        """Window rollover: adapt the base stride to the budget and
+        refresh the promotion threshold."""
+        config = self.config
+        response_times = self.response_times
+        if response_times.count >= config.min_promote_samples:
+            self.threshold = response_times.quantile(
+                config.promote_quantile
+            )
+        budget = config.trace_budget_per_window
         if budget is not None and self._finished_in_window:
             self.stride = max(
                 1, round(self._finished_in_window / budget)
             )
         self._finished_in_window = 0
-        window = self.config.window
+        window = config.window
         # Skip empty windows in one step (no completions, no budget
         # evidence to retune on).
         periods = int((now - self._window_end) / window) + 1

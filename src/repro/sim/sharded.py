@@ -102,7 +102,8 @@ class ShardWindow:
     now: float
     #: Cumulative dispatched events on this shard.
     events: int
-    #: Cumulative cross-shard messages sent / received.
+    #: Cumulative messages the group's shards sent / received over
+    #: cross-host channels, direct and framed alike.
     sent: int
     received: int
 
@@ -284,7 +285,7 @@ class ShardRunner:
         window: float,
         outgoing: Sequence[Tuple[Any, FrameChannel]],
         incoming: Sequence[Tuple[Any, Any]],
-        on_window: Optional[Callable[[int, float, int, int], None]] = None,
+        on_window: Optional[Callable[[int, float], None]] = None,
         window_stride: int = 1,
     ):
         if window <= 0:
@@ -379,7 +380,7 @@ class ShardRunner:
             if on_window is not None and (
                 index % stride == 0 or t >= duration
             ):
-                on_window(index, t, self.sent, self.received)
+                on_window(index, t)
         self.windows = index
 
 

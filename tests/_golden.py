@@ -117,7 +117,7 @@ def sketch_json_text(run) -> str:
         "min": hist.low,
         "max": hist.high,
         "percentiles": {
-            str(q): hist.percentile(q)
+            str(q): hist.quantile(q)
             for q in (50.0, 90.0, 95.0, 99.0, 99.9)
         },
     }

@@ -71,6 +71,18 @@ class TestCli:
         assert len(fifth) < len(every)
         assert 5 * len(fifth) >= len(every)
 
+    def test_trace_prints_response_time_quantiles(self, capsys, tmp_path):
+        assert main([
+            "trace", "fig2", "--duration", "6", "--users", "60",
+            "--out", str(tmp_path),
+        ]) == 0
+        (line,) = [
+            row for row in capsys.readouterr().out.splitlines()
+            if row.startswith("response time:")
+        ]
+        for field in ("count=", "mean=", "p50=", "p99=", "p99.9="):
+            assert field in line
+
     def test_monitor_unknown_scenario_fails(self, capsys):
         assert main(["monitor", "nope"]) == 2
         assert "scenario name" in capsys.readouterr().err

@@ -1,6 +1,5 @@
 """Metrics registry, event bus, and kernel profiler tests."""
 
-import numpy as np
 import pytest
 
 from repro.obs import (
@@ -8,8 +7,8 @@ from repro.obs import (
     EventBus,
     Gauge,
     KernelProfiler,
+    LogHistogram,
     MetricsRegistry,
-    StreamingHistogram,
 )
 from repro.sim import SimulationError, Simulator
 
@@ -38,44 +37,6 @@ class TestCounterGauge:
         assert snap["updates"] == 4
 
 
-class TestStreamingHistogram:
-    def test_exact_below_capacity(self):
-        h = StreamingHistogram(capacity=100)
-        for v in range(10):
-            h.observe(float(v))
-        assert h.count == 10
-        assert h.mean == pytest.approx(4.5)
-        assert h.low == 0.0 and h.high == 9.0
-        assert h.percentile(50.0) == pytest.approx(4.5)
-        assert h.percentile([0.0, 100.0]) == [0.0, 9.0]
-
-    def test_reservoir_stays_representative(self):
-        # 40k uniform draws into a 2k reservoir: quartiles should land
-        # near the true ones.  Deterministic: seeded RNG on both sides.
-        rng = np.random.default_rng(42)
-        h = StreamingHistogram(capacity=2048, seed=7)
-        for v in rng.uniform(0.0, 100.0, size=40_000):
-            h.observe(float(v))
-        assert h.count == 40_000
-        p25, p50, p75 = h.percentile([25.0, 50.0, 75.0])
-        assert p25 == pytest.approx(25.0, abs=3.0)
-        assert p50 == pytest.approx(50.0, abs=3.0)
-        assert p75 == pytest.approx(75.0, abs=3.0)
-
-    def test_snapshot_fields(self):
-        h = StreamingHistogram(capacity=8)
-        snap = h.snapshot()
-        assert snap["count"] == 0 and "mean" not in snap
-        h.observe(2.0)
-        snap = h.snapshot()
-        assert snap["count"] == 1
-        assert snap["p50"] == 2.0
-
-    def test_empty_percentile_raises(self):
-        with pytest.raises(ValueError):
-            StreamingHistogram().percentile(50.0)
-
-
 class TestMetricsRegistry:
     def test_created_on_first_use_and_memoised(self):
         reg = MetricsRegistry()
@@ -89,6 +50,14 @@ class TestMetricsRegistry:
         with pytest.raises(TypeError):
             reg.gauge("x")
 
+    def test_histogram_is_a_log_histogram(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("h", relative_accuracy=0.02)
+        assert isinstance(h, LogHistogram)
+        assert h.relative_accuracy == 0.02
+        assert reg.histogram("h") is h
+        assert reg.histogram("d").relative_accuracy == 0.01
+
     def test_snapshot_covers_all(self):
         reg = MetricsRegistry()
         reg.counter("c").inc(2)
@@ -98,6 +67,7 @@ class TestMetricsRegistry:
         assert set(snap) == {"c", "g", "h"}
         assert snap["c"]["value"] == 2
         assert snap["h"]["count"] == 1
+        assert snap["h"]["type"] == "log_histogram"
 
 
 class TestEventBus:

@@ -11,7 +11,6 @@ from repro.obs import (
     AdaptiveTracer,
     EventBus,
     LogHistogram,
-    P2Quantile,
     TailSloDetector,
     TelemetryConfig,
     TelemetryPipeline,
@@ -45,30 +44,6 @@ class FakeRequest:
         return self._tiers.get(tier)
 
 
-class TestP2Quantile:
-    def test_small_sample_is_exact(self):
-        p2 = P2Quantile(0.5)
-        for v in (5.0, 1.0, 3.0):
-            p2.observe(v)
-        assert p2.estimate == pytest.approx(3.0)
-        assert p2.count == 3
-
-    def test_converges_on_lognormal_p99(self):
-        rng = np.random.default_rng(7)
-        values = rng.lognormal(mean=-2.0, sigma=0.8, size=20000)
-        p2 = P2Quantile(0.99)
-        for v in values:
-            p2.observe(float(v))
-        exact = float(np.percentile(values, 99))
-        assert p2.estimate == pytest.approx(exact, rel=0.05)
-
-    def test_monotone_input(self):
-        p2 = P2Quantile(0.9)
-        for v in range(1, 1001):
-            p2.observe(float(v))
-        assert p2.estimate == pytest.approx(900.0, rel=0.05)
-
-
 class TestLogHistogram:
     def test_guaranteed_relative_accuracy(self):
         rng = np.random.default_rng(11)
@@ -81,6 +56,27 @@ class TestLogHistogram:
             # Bucketing guarantees 1% on the value; the quantile
             # boundary itself adds sampling granularity at the tail.
             assert hist.quantile(q) == pytest.approx(exact, rel=0.03)
+
+    def test_count_mean_and_watermarks_exact(self):
+        hist = LogHistogram()
+        for v in range(1, 11):
+            hist.observe(float(v))
+        assert hist.count == 10
+        assert hist.mean == pytest.approx(5.5)
+        assert hist.low == 1.0 and hist.high == 10.0
+        assert hist.quantile([0.0, 100.0]) == [1.0, 10.0]
+
+    def test_empty_quantile_raises(self):
+        with pytest.raises(ValueError):
+            LogHistogram().quantile(50.0)
+
+    def test_empty_snapshot_has_no_quantiles(self):
+        hist = LogHistogram()
+        snap = hist.snapshot()
+        assert snap["count"] == 0 and "mean" not in snap
+        hist.observe(2.0)
+        # One observation: every quantile clamps to the watermarks.
+        assert hist.snapshot()["p50"] == 2.0
 
     def test_extremes_are_exact_watermarks(self):
         hist = LogHistogram()
@@ -183,20 +179,27 @@ class TestAdaptiveTracer:
         assert dropped.trace is None
         assert len(tracer.store.traces) == 1
 
-    def test_slow_request_promoted_above_streaming_p99(self):
+    def test_threshold_refreshes_at_window_rollover(self):
         tracer = self._tracer(
+            window=1.0,
             base_sample_every=1000,
             trace_budget_per_window=None,
             min_promote_samples=50,
         )
-        # Descending response times keep the running P99 above every
-        # later completion, so nothing promotes during warm-up.
         for i in range(100):
             self._finish(
-                tracer, i, t_done=0.001 * i, rt=0.2 - 0.001 * i
+                tracer, i, t_done=0.005 * i, rt=0.001 * (i + 1)
             )
+        # 100 completions, but the threshold arms only at a rollover.
+        assert tracer.threshold is None
+        # The first completion past t=1 rolls the window; its response
+        # time is the smallest yet, so the P99 rank stays put.
+        self._finish(tracer, 100, t_done=1.1, rt=0.0005)
         assert tracer.threshold is not None
-        slow = self._finish(tracer, 999, t_done=0.5, rt=5.0)
+        assert tracer.threshold == tracer.metrics[
+            "response_time"
+        ].quantile(99.0)
+        slow = self._finish(tracer, 101, t_done=1.2, rt=5.0)
         assert slow.trace is not None
         assert tracer.promoted == 1
 
@@ -222,8 +225,9 @@ class TestAdaptiveTracer:
 
     def test_threshold_unarmed_until_min_samples(self):
         tracer = self._tracer(min_promote_samples=10)
+        # Nine completions over five windows: rollovers, too few samples.
         for i in range(9):
-            self._finish(tracer, i, t_done=0.001 * i, rt=0.01)
+            self._finish(tracer, i, t_done=0.5 * i, rt=0.01)
         assert tracer.threshold is None
 
 

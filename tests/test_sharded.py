@@ -1019,3 +1019,48 @@ class TestFailFast:
         assert killed
         assert killed[0] in str(info.value)
         assert "died" in str(info.value)
+
+
+def _small(scenario: DatacenterScenario, duration: float = 4.0):
+    """``scenario`` at 60 users for ``duration`` simulated seconds."""
+    base = replace(scenario.base.with_users(60), duration=duration)
+    return replace(scenario, base=base)
+
+
+class TestProgressReports:
+    """``run_datacenter``'s per-group :class:`ShardWindow` stream."""
+
+    def test_grouped_reports_about_one_sim_second_apart(self):
+        reports = []
+        run = run_datacenter(
+            _small(DC_4HOST), shards=2, progress=reports.append
+        )
+        # Two groups step at a window wider than the scenario's.
+        assert run.window > DC_4HOST.window
+        heads = [members[0] for members in run.groups]
+        assert len(heads) == 2
+        assert {w.shard for w in reports} == set(heads)
+        for head in heads:
+            times = [w.now for w in reports if w.shard == head]
+            assert len(times) >= 3
+            # Every gap but the final flush is one stride of windows.
+            for gap in (b - a for a, b in zip(times[:-2], times[1:-1])):
+                assert gap == pytest.approx(1.0, abs=run.window)
+
+    @pytest.mark.parametrize(
+        "scenario, shards",
+        [(DC_2HOST, 1), (DC_4HOST, 1), (DC_4HOST, 2)],
+        ids=["dc2-1", "dc4-1", "dc4-2"],
+    )
+    def test_last_report_sums_member_traffic(self, scenario, shards):
+        reports = []
+        run = run_datacenter(
+            _small(scenario, 2.0), shards=shards, progress=reports.append
+        )
+        by_index = {r.index: r for r in run.shard_results}
+        for members in run.groups:
+            last = [w for w in reports if w.shard == members[0]][-1]
+            sent = sum(by_index[i].sent for i in members)
+            received = sum(by_index[i].received for i in members)
+            assert (last.sent, last.received) == (sent, received)
+            assert sent > 0 and received > 0
